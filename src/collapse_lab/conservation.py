@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .errors import AuditRefusal, DimensionError, NumericalError, OperatorError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, embed_operator
+from .operators import AssembledOperator, _max_abs, _prep_matrix, embed_operator
 
 if TYPE_CHECKING:
     from .integrator import RealizedScenario, TrajectoryRecord
@@ -161,23 +161,9 @@ class CommutatorCertificate:
     passed: bool
 
 
-def _as_matrix(op):
-    if isinstance(op, AssembledOperator):
-        return op.matrix
-    if sp.issparse(op):
-        return sp.csr_array(op)
-    return np.asarray(op, dtype=np.complex128)
-
-
-def _max_abs(m) -> float:
-    if sp.issparse(m):
-        return float(np.max(np.abs(m.data))) if m.nnz else 0.0
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
 def commutator_certificate(a, b, tolerance: float = COMMUTE_TOL) -> CommutatorCertificate:
     """Max-norm of AB - BA with a pass/fail verdict at ``tolerance``."""
-    am, bm = _as_matrix(a), _as_matrix(b)
+    am, bm = _prep_matrix(a), _prep_matrix(b)
     comm = am @ bm - bm @ am
     value = _max_abs(comm)
     return CommutatorCertificate(value, tolerance, value <= tolerance)
@@ -204,8 +190,8 @@ def lindblad_drift_rate_bound(hamiltonian, vhat) -> float:
     The master-equation drift of a quantity Q is -(1/2) <[V, [V, Q]]>, so
     half the spectral norm of the nested commutator bounds the rate.
     """
-    h = _as_matrix(hamiltonian)
-    v = _as_matrix(vhat)
+    h = _prep_matrix(hamiltonian)
+    v = _prep_matrix(vhat)
     inner = v @ h - h @ v
     nested = v @ inner - inner @ v
     return 0.5 * _spectral_bound(nested)
@@ -383,13 +369,29 @@ def audit_trajectory(
     asserted at ensemble level by :func:`audit_run`.
     """
     _refuse_if_uncertifiable(scenario)
+    return _audit_trajectory(record, quantities, scenario,
+                             _classify_all(quantities, scenario))
+
+
+def _classify_all(quantities, scenario) -> dict[str, tuple[str, dict]]:
+    """Classification per quantity name; it does not vary by trajectory."""
+    return {
+        q.name: classify_quantity(
+            q, scenario.hamiltonian, scenario.collapse_op, scenario.psi0
+        )
+        for q in quantities
+    }
+
+
+def _audit_trajectory(record, quantities, scenario, classified) -> AuditReport:
     h = scenario.hamiltonian
     v = scenario.collapse_op
     report = AuditReport(seed=record.seed, collapsed_branch=record.collapsed_branch)
 
     for q in quantities:
         series = _drift_series(record, q)
-        classification, details = classify_quantity(q, h, v, scenario.psi0)
+        classification, details = classified[q.name]
+        details = dict(details)
         if q.is_unitary:
             tol = EXACT_TOL_UNITARY
             mod_drift = np.max(np.abs(np.abs(series) - np.abs(series[0])))
@@ -489,7 +491,9 @@ def audit_run(
         raise DimensionError("audit_run needs at least one trajectory record")
     _refuse_if_uncertifiable(scenario)
 
-    per_traj = [audit_trajectory(rec, quantities, scenario) for rec in records]
+    classified = _classify_all(quantities, scenario)
+    per_traj = [_audit_trajectory(rec, quantities, scenario, classified)
+                for rec in records]
     report = AuditReport(seed=records[0].seed)
     report.quantities = per_traj[0].quantities if len(per_traj) == 1 else []
     report.notes.append(f"audited {len(records)} trajectories")
@@ -509,9 +513,7 @@ def audit_run(
     n = len(records)
     if n >= 2:
         for q in quantities:
-            classification, _ = classify_quantity(
-                q, scenario.hamiltonian, scenario.collapse_op, scenario.psi0
-            )
+            classification, _ = classified[q.name]
             series = np.array([_drift_series(rec, q) for rec in records])
             if q.is_unitary:
                 continue
@@ -544,8 +546,7 @@ def audit_run(
                     plan.dt, plan.n_steps,
                 )
                 checkpoints = np.arange(0, plan.n_steps + 1, plan.record_every)
-                qmat = q.operator.matrix
-                qdense = qmat.toarray() if sp.issparse(qmat) else np.asarray(qmat)
+                qdense = q.operator.to_dense()
                 oracle_vals = np.array(
                     [float(np.real(np.trace(qdense @ rhos[k]))) for k in checkpoints]
                 )

@@ -64,6 +64,26 @@ class Bipartition:
     def name(self) -> str:
         return "+".join(sorted(self.side_a))
 
+    def axes(self, space: CompositeSpace) -> tuple[tuple[int, ...], int, int]:
+        """Subsystem axes with side A leading, and the dims of sides A and B."""
+        axes_a = [i for i, s in enumerate(space.subsystems) if s.label in self.side_a]
+        axes_b = [i for i, s in enumerate(space.subsystems) if s.label in self.side_b]
+        dims = space.dims
+        da = int(np.prod([dims[i] for i in axes_a]))
+        db = int(np.prod([dims[i] for i in axes_b]))
+        return tuple(axes_a + axes_b), da, db
+
+    def entropies(self, space: CompositeSpace, psi: np.ndarray) -> np.ndarray:
+        """Entanglement entropy in nats of each row of a (batch, dim) block."""
+        perm, da, db = self.axes(space)
+        b = psi.shape[0]
+        moved = np.transpose(psi.reshape((b,) + space.dims),
+                             (0,) + tuple(ax + 1 for ax in perm))
+        w2 = np.linalg.svd(moved.reshape(b, da, db), compute_uv=False) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(w2 > 0.0, np.log(w2), 0.0)
+        return -np.sum(w2 * logs, axis=1)
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtResult:
@@ -82,14 +102,9 @@ class SchmidtResult:
 
 def _split_matrix(psi: StateVector, partition: Bipartition) -> np.ndarray:
     """Amplitudes reshaped to (dim_A, dim_B) with side-A axes leading."""
-    space = psi.space
-    axes_a = [i for i, s in enumerate(space.subsystems) if s.label in partition.side_a]
-    axes_b = [i for i, s in enumerate(space.subsystems) if s.label in partition.side_b]
-    dims = space.dims
-    da = int(np.prod([dims[i] for i in axes_a]))
-    db = int(np.prod([dims[i] for i in axes_b]))
-    tensor = psi.amplitudes.reshape(dims)
-    return np.transpose(tensor, axes_a + axes_b).reshape(da, db)
+    perm, da, db = partition.axes(psi.space)
+    tensor = psi.amplitudes.reshape(psi.space.dims)
+    return np.transpose(tensor, perm).reshape(da, db)
 
 
 def reduced_density(psi: StateVector, partition: Bipartition) -> np.ndarray:

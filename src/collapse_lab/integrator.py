@@ -19,17 +19,15 @@ equation  d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}, which
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .entanglement import Bipartition, vn_entropy
+from .entanglement import Bipartition
 from .errors import DimensionError, NumericalError, StabilityError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _beta_terms
+from .operators import AssembledOperator, _batch_apply, _prep_matrix
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -116,19 +114,22 @@ class Observable:
     diag: np.ndarray | None = None
     diag2: np.ndarray | None = None
 
-    def evaluate(self, psi: np.ndarray):
+    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Prepare once; return a map from a (batch, d) block of states to
+        one value per row."""
         if self.kind == "diag":
-            p = np.abs(psi) ** 2
-            return float(np.real(np.dot(p, self.diag)))
-        if self.kind == "matrix":
-            return float(np.real(np.vdot(psi, self.matrix @ psi)))
-        if self.kind == "matrix_complex":
-            return complex(np.vdot(psi, self.matrix @ psi))
+            return lambda psi: (np.abs(psi) ** 2) @ self.diag
+        if self.kind in ("matrix", "matrix_complex"):
+            apply = _batch_apply(self.matrix)
+            if self.kind == "matrix":
+                return lambda psi: np.vecdot(psi, apply(psi)).real
+            return lambda psi: np.vecdot(psi, apply(psi))
         if self.kind == "width":
-            p = np.abs(psi) ** 2
-            mean = float(np.real(np.dot(p, self.diag)))
-            mean2 = float(np.real(np.dot(p, self.diag2)))
-            return float(np.sqrt(max(mean2 - mean**2, 0.0)))
+            def width(psi):
+                p = np.abs(psi) ** 2
+                mean = p @ self.diag
+                return np.sqrt(np.maximum(p @ self.diag2 - mean**2, 0.0))
+            return width
         raise ValueError(f"unknown observable kind {self.kind!r}")
 
     @property
@@ -143,8 +144,9 @@ class Branch:
     label: str
     indices: np.ndarray
 
-    def weight(self, psi: np.ndarray) -> float:
-        return float(np.sum(np.abs(psi[self.indices]) ** 2))
+    def weights(self, psi: np.ndarray) -> np.ndarray:
+        """Weight of the branch in each row of a (batch, d) block of states."""
+        return np.sum(np.abs(psi[:, self.indices]) ** 2, axis=1)
 
 
 @dataclass(eq=False)
@@ -213,42 +215,40 @@ class TrajectoryRecord:
         return self.collapse_step * self.plan.dt
 
 
-def _prep_matrix(op: AssembledOperator | np.ndarray | None):
-    """Dense for small dims (fast matvec), sparse otherwise."""
-    if op is None:
-        return None
-    mat = op.matrix if isinstance(op, AssembledOperator) else op
-    if sp.issparse(mat):
-        if mat.shape[0] <= 256:
-            return np.asarray(mat.todense())
-        return sp.csr_array(mat)
-    return np.asarray(mat, dtype=np.complex128)
+def _step(psi: np.ndarray, h, v, dt: float, dxi: np.ndarray):
+    """One renormalized Euler-Maruyama step of a (batch, d) block of states.
 
-
-def _draw_noise(rng: np.random.Generator, kind: str, dt: float) -> complex:
-    if kind == "complex":
-        w = rng.standard_normal(2)
-        return complex(w[0], w[1]) * np.sqrt(dt / 2.0)
-    return complex(rng.standard_normal() * np.sqrt(dt), 0.0)
-
-
-def _step(psi: np.ndarray, h, v, dt: float, dxi: complex) -> tuple[np.ndarray, float]:
-    """One raw update; returns (normalized state, pre-renormalization norm)."""
+    ``h`` and ``v`` are row appliers from :func:`_batch_apply` (or None) and
+    ``dxi`` holds one noise increment per row.  Returns the new block, the
+    pre-renormalization norms and the deviation ``beta = V psi - <V> psi``
+    at the pre-step state (None without V).  The arithmetic is in place:
+    temporaries of the state size cost measurable time at large dims.
+    """
+    beta = None
     if v is not None:
-        bpsi, v_mean = _beta_terms(v, psi)
-        b2psi = (v @ bpsi) - v_mean.real * bpsi
-        dpsi = (-0.5 * dt) * b2psi + dxi * bpsi
+        beta = v(psi)
+        vmean = np.vecdot(psi, beta).real[:, None]
+        beta -= vmean * psi
+        new = v(beta)
+        new -= vmean * beta
+        new *= -0.5 * dt
+        new += dxi[:, None] * beta
         if h is not None:
-            dpsi += (-1j * dt) * (h @ psi)
+            hpsi = h(psi)
+            hpsi *= -1j * dt
+            new += hpsi
+        new += psi
     elif h is not None:
-        dpsi = (-1j * dt) * (h @ psi)
+        new = h(psi)
+        new *= -1j * dt
+        new += psi
     else:
-        dpsi = np.zeros_like(psi)
-    new = psi + dpsi
-    nrm = float(np.linalg.norm(new))
-    if not np.isfinite(nrm) or nrm == 0.0:
+        new = psi.copy()
+    nrm = np.sqrt(np.vecdot(new, new).real)
+    if not np.all(np.isfinite(nrm)) or np.any(nrm == 0.0):
         raise NumericalError("state norm became non-finite during integration")
-    return new / nrm, nrm
+    new /= nrm[:, None]
+    return new, nrm, beta
 
 
 def ito_step(
@@ -265,27 +265,10 @@ def ito_step(
     """
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError("dt must be positive and finite")
-    if vhat is not None:
-        check_stability(IntegrationPlan(dt=dt, n_steps=1), vhat)
-    h = _prep_matrix(hamiltonian)
-    v = _prep_matrix(vhat)
-    new, _ = _step(psi.amplitudes, h, v, dt, complex(noise))
-    return StateVector(psi.space, new)
-
-
-def _bipartition_axes(space: CompositeSpace, part: Bipartition):
-    axes_a = [i for i, s in enumerate(space.subsystems) if s.label in part.side_a]
-    axes_b = [i for i, s in enumerate(space.subsystems) if s.label in part.side_b]
-    dims = space.dims
-    da = int(np.prod([dims[i] for i in axes_a]))
-    db = int(np.prod([dims[i] for i in axes_b]))
-    return tuple(axes_a + axes_b), da, db
-
-
-def _entropy_of(psi: np.ndarray, dims, perm, da, db) -> float:
-    m = np.transpose(psi.reshape(dims), perm).reshape(da, db)
-    s = np.linalg.svd(m, compute_uv=False)
-    return vn_entropy(s**2)
+    check_stability(IntegrationPlan(dt=dt, n_steps=1), vhat)
+    new, _, _ = _step(psi.amplitudes[None, :], _batch_apply(hamiltonian),
+                      _batch_apply(vhat), dt, np.array([complex(noise)]))
+    return StateVector(psi.space, new[0])
 
 
 def run_trajectory(
@@ -301,103 +284,8 @@ def run_trajectory(
     ``record_states`` additionally stores the state at each recorded time.
     """
     sc = _ensure_realized(scenario)
-    plan = sc.plan if seed is None else replace(sc.plan, seed=seed)
-    check_stability(plan, sc.collapse_op)
-
-    h = _prep_matrix(sc.hamiltonian)
-    v = _prep_matrix(sc.collapse_op)
-    qv_mats = [(name, _prep_matrix(m)) for name, m in sc.qv_tracks]
-    rng = np.random.default_rng(plan.seed)
-    psi = sc.psi0.amplitudes.copy()
-
-    dims = sc.space.dims
-    parts = []
-    for part in sc.bipartitions:
-        perm, da, db = _bipartition_axes(sc.space, part)
-        parts.append((part.name(), perm, da, db))
-
-    n_rec = plan.n_records
-    states = np.empty((n_rec, sc.space.total_dim), dtype=np.complex128) \
-        if record_states else None
-    times = np.empty(n_rec)
-    norms = np.empty(n_rec)
-    obs = {
-        o.name: np.empty(n_rec, dtype=complex if o.is_complex else float)
-        for o in sc.observables
-    }
-    weights = {b.label: np.empty(n_rec) for b in sc.branches}
-    entropies = {name: np.empty(n_rec) for name, *_ in parts}
-    qv = {name: np.empty(n_rec) for name, _ in qv_mats}
-    qv_accum = {name: 0.0 for name, _ in qv_mats}
-
-    collapsed_branch: str | None = None
-    collapse_step: int | None = None
-    drift_sum = 0.0
-
-    def record(idx: int, step: int, pre_norm: float):
-        times[idx] = step * plan.dt
-        norms[idx] = pre_norm
-        for o in sc.observables:
-            obs[o.name][idx] = o.evaluate(psi)
-        for b in sc.branches:
-            weights[b.label][idx] = b.weight(psi)
-        for name, perm, da, db in parts:
-            entropies[name][idx] = _entropy_of(psi, dims, perm, da, db)
-        for name, _ in qv_mats:
-            qv[name][idx] = qv_accum[name]
-        if states is not None:
-            states[idx] = psi
-
-    def check_collapse(step: int):
-        nonlocal collapsed_branch, collapse_step
-        if collapsed_branch is not None:
-            return
-        for b in sc.branches:
-            if b.weight(psi) >= plan.collapse_threshold:
-                collapsed_branch = b.label
-                collapse_step = step
-                return
-
-    record(0, 0, 1.0)
-    check_collapse(0)
-
-    idx = 1
-    for step in range(1, plan.n_steps + 1):
-        if v is not None:
-            # quadratic-variation tracking uses the pre-step state
-            if qv_mats:
-                bpsi, _ = _beta_terms(v, psi)
-                for name, qmat in qv_mats:
-                    c = np.vdot(qmat @ psi, bpsi)
-                    rate = 2.0 * abs(c) ** 2 if plan.noise_kind == "complex" \
-                        else 4.0 * c.real**2
-                    qv_accum[name] += rate * plan.dt
-            dxi = _draw_noise(rng, plan.noise_kind, plan.dt)
-        else:
-            dxi = 0.0 + 0.0j
-        psi, pre_norm = _step(psi, h, v, plan.dt, dxi)
-        drift_sum += pre_norm - 1.0
-        check_collapse(step)
-        if step % plan.record_every == 0:
-            record(idx, step, pre_norm)
-            idx += 1
-
-    return TrajectoryRecord(
-        times=times,
-        norms_pre_renorm=norms,
-        observables=obs,
-        branch_weights=weights,
-        entropy_series=entropies,
-        final_state=StateVector(sc.space, psi),
-        seed=plan.seed,
-        plan=plan,
-        collapsed_branch=collapsed_branch,
-        collapse_step=collapse_step,
-        norm_drift_mean=drift_sum / plan.n_steps,
-        norm_drift_count=plan.n_steps,
-        qv_series=qv,
-        states=states,
-    )
+    seed = sc.plan.seed if seed is None else seed
+    return _run_chunk_batched(sc, [seed], record_states)[0]
 
 
 @dataclass(eq=False)
@@ -446,14 +334,13 @@ def run_ensemble(
     *,
     record_density: bool = False,
     keep_records: bool = False,
-    max_workers: int | None = None,
 ) -> tuple[EnsembleStats, list[TrajectoryRecord]]:
     """Run ``n_traj`` trajectories with seeds base_seed + index.
 
-    Reduction is in seed order regardless of scheduling, so results are
-    reproducible.  Parallel workers are used when COLLAPSE_LAB_THREADS (or
-    ``max_workers``) exceeds 1; trajectories are otherwise run serially.
-    Returns (stats, records); ``records`` is empty unless ``keep_records``.
+    Trajectories run in lock-step chunks of at most ``BATCH_CHUNK``
+    trajectories and ``BATCH_AMPLITUDES`` amplitudes, and are reduced in
+    seed order, so results are reproducible.  Returns (stats, records);
+    ``records`` is empty unless ``keep_records``.
     """
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
@@ -464,46 +351,23 @@ def run_ensemble(
             "projectors of larger systems are not materialized"
         )
 
-    if max_workers is None:
-        max_workers = int(os.environ.get("COLLAPSE_LAB_THREADS", "1"))
-
     seeds = [base_seed + i for i in range(n_traj)]
     acc = _EnsembleAccumulator(sc, record_density)
     records: list[TrajectoryRecord] = []
-
-    if sc.space.total_dim <= BATCH_DENSE_LIMIT and max_workers <= 1:
-        for start in range(0, n_traj, BATCH_CHUNK):
-            chunk = seeds[start:start + BATCH_CHUNK]
-            for rec in _run_chunk_batched(sc, chunk, record_density):
-                acc.add(rec)
-                if keep_records:
-                    records.append(rec)
-    elif max_workers > 1 and n_traj > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for rec in pool.map(_run_one, [(sc, s, record_density) for s in seeds],
-                                chunksize=max(1, n_traj // (4 * max_workers))):
-                acc.add(rec)
-                if keep_records:
-                    records.append(rec)
-    else:
-        for s in seeds:
-            rec = run_trajectory(sc, seed=s, record_states=record_density)
+    chunk = max(1, min(BATCH_CHUNK, BATCH_AMPLITUDES // sc.space.total_dim))
+    for start in range(0, n_traj, chunk):
+        for rec in _run_chunk_batched(sc, seeds[start:start + chunk], record_density):
             acc.add(rec)
             if keep_records:
                 records.append(rec)
-
     return acc.finish(base_seed), records
 
 
-def _run_one(args):
-    scenario, seed, record_states = args
-    return run_trajectory(scenario, seed=seed, record_states=record_states)
-
-
-BATCH_DENSE_LIMIT = 64  # dims up to this run ensembles in lock-step batches
 BATCH_CHUNK = 512
+# Blocks of states larger than this many amplitudes drop out of the CPU
+# caches; at d = 4096 a 512-trajectory chunk ran 1.75x slower per
+# trajectory-step than one trajectory at a time.
+BATCH_AMPLITUDES = 1 << 15
 
 
 def _run_chunk_batched(
@@ -511,52 +375,43 @@ def _run_chunk_batched(
 ) -> list[TrajectoryRecord]:
     """Integrate a block of trajectories in lock-step.
 
-    Each trajectory consumes exactly the same noise stream it would get
-    from :func:`run_trajectory` (generator draws are batch-size
-    invariant), so the batching is purely a throughput optimization.
+    Each trajectory consumes its own generator stream, seeded by its seed,
+    so a trajectory does not depend on the batch it runs in beyond
+    rounding.  A single trajectory is a batch of one.
     """
     plan = sc.plan
+    check_stability(plan, sc.collapse_op)
     b = len(seeds)
     d = sc.space.total_dim
     dt = plan.dt
-    h = _prep_matrix(sc.hamiltonian)
-    v = _prep_matrix(sc.collapse_op)
-    ht = None if h is None else np.asarray(h).T.copy()
-    vt = None if v is None else np.asarray(v).T.copy()
-    qv_mats = [(name, np.asarray(_prep_matrix(m)).T.copy()) for name, m in sc.qv_tracks]
+    h = _batch_apply(sc.hamiltonian)
+    v = _batch_apply(sc.collapse_op)
+    qv_mats = [(name, _batch_apply(m)) for name, m in sc.qv_tracks]
+    evaluators = [(o.name, o.evaluator()) for o in sc.observables]
 
+    noise = None
     if v is not None:
-        if plan.noise_kind == "complex":
-            noise = np.empty((b, plan.n_steps), dtype=np.complex128)
-            scale = np.sqrt(dt / 2.0)
-            for i, s in enumerate(seeds):
-                w = np.random.default_rng(s).standard_normal(2 * plan.n_steps)
-                noise[i] = (w[0::2] + 1j * w[1::2]) * scale
-        else:
-            noise = np.empty((b, plan.n_steps), dtype=np.complex128)
-            for i, s in enumerate(seeds):
-                w = np.random.default_rng(s).standard_normal(plan.n_steps)
-                noise[i] = w * np.sqrt(dt)
-    else:
-        noise = None
+        noise = np.empty((b, plan.n_steps), dtype=np.complex128)
+        for i, s in enumerate(seeds):
+            rng = np.random.default_rng(s)
+            if plan.noise_kind == "complex":
+                w = rng.standard_normal(2 * plan.n_steps)
+                noise[i] = (w[0::2] + 1j * w[1::2]) * np.sqrt(dt / 2.0)
+            else:
+                noise[i] = rng.standard_normal(plan.n_steps) * np.sqrt(dt)
 
     psi = np.tile(sc.psi0.amplitudes, (b, 1))
 
-    dims = sc.space.dims
-    parts = []
-    for part in sc.bipartitions:
-        perm, da, db = _bipartition_axes(sc.space, part)
-        parts.append((part.name(), perm, da, db))
-
     n_rec = plan.n_records
-    times = np.arange(n_rec) * (plan.record_every * dt)
+    # integer product first: bit-equal to step * dt at every recorded step
+    times = (np.arange(n_rec) * plan.record_every) * dt
     norms = np.empty((b, n_rec))
     obs = {
         o.name: np.empty((b, n_rec), dtype=complex if o.is_complex else float)
         for o in sc.observables
     }
     weights = {br.label: np.empty((b, n_rec)) for br in sc.branches}
-    entropies = {name: np.empty((b, n_rec)) for name, *_ in parts}
+    entropies = {part.name(): np.empty((b, n_rec)) for part in sc.bipartitions}
     qv = {name: np.empty((b, n_rec)) for name, _ in qv_mats}
     qv_accum = {name: np.zeros(b) for name, _ in qv_mats}
     states = np.empty((b, n_rec, d), dtype=np.complex128) if record_states else None
@@ -565,39 +420,14 @@ def _run_chunk_batched(
     collapse_branch = np.full(b, -1, dtype=np.int64)
     drift_sum = np.zeros(b)
 
-    def eval_obs(o: Observable) -> np.ndarray:
-        if o.kind == "diag":
-            return (np.abs(psi) ** 2) @ o.diag
-        if o.kind == "matrix":
-            m = o.matrix
-            mp = psi @ np.asarray(m.todense()).T if sp.issparse(m) else psi @ m.T
-            return np.einsum("bi,bi->b", psi.conj(), mp).real
-        if o.kind == "matrix_complex":
-            m = o.matrix
-            mp = psi @ np.asarray(m.todense()).T if sp.issparse(m) else psi @ m.T
-            return np.einsum("bi,bi->b", psi.conj(), mp)
-        if o.kind == "width":
-            p = np.abs(psi) ** 2
-            mean = p @ o.diag
-            mean2 = p @ o.diag2
-            return np.sqrt(np.maximum(mean2 - mean**2, 0.0))
-        raise ValueError(o.kind)
-
     def record(idx: int, pre_norms: np.ndarray):
         norms[:, idx] = pre_norms
-        for o in sc.observables:
-            obs[o.name][:, idx] = eval_obs(o)
+        for name, evaluate in evaluators:
+            obs[name][:, idx] = evaluate(psi)
         for br in sc.branches:
-            weights[br.label][:, idx] = np.sum(np.abs(psi[:, br.indices]) ** 2, axis=1)
-        for name, perm, da, db in parts:
-            tensors = psi.reshape((b,) + dims)
-            moved = np.transpose(tensors, (0,) + tuple(ax + 1 for ax in perm))
-            mats = moved.reshape(b, da, db)
-            svals = np.linalg.svd(mats, compute_uv=False)
-            w2 = np.clip(svals**2, 0.0, None)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(w2 > 0.0, np.log(w2), 0.0)
-            entropies[name][:, idx] = -np.sum(w2 * logs, axis=1)
+            weights[br.label][:, idx] = br.weights(psi)
+        for part in sc.bipartitions:
+            entropies[part.name()][:, idx] = part.entropies(sc.space, psi)
         for name, _ in qv_mats:
             qv[name][:, idx] = qv_accum[name]
         if states is not None:
@@ -608,8 +438,7 @@ def _run_chunk_batched(
         if not np.any(open_mask):
             return
         for bi, br in enumerate(sc.branches):
-            w = np.sum(np.abs(psi[:, br.indices]) ** 2, axis=1)
-            hit = open_mask & (w >= plan.collapse_threshold)
+            hit = open_mask & (br.weights(psi) >= plan.collapse_threshold)
             collapse_step[hit] = step
             collapse_branch[hit] = bi
             open_mask &= ~hit
@@ -619,29 +448,17 @@ def _run_chunk_batched(
 
     idx = 1
     for step in range(1, plan.n_steps + 1):
-        if vt is not None:
-            vpsi = psi @ vt
-            vmean = np.einsum("bi,bi->b", psi.conj(), vpsi).real
-            bpsi = vpsi - vmean[:, None] * psi
-            for name, qt in qv_mats:
-                c = np.einsum("bi,bi->b", (psi @ qt).conj(), bpsi)
+        dxi = None if noise is None else noise[:, step - 1]
+        new, nrm, beta = _step(psi, h, v, dt, dxi)
+        if beta is not None:
+            # quadratic-variation tracking uses the pre-step state
+            for name, q in qv_mats:
+                c = np.vecdot(q(psi), beta)
                 if plan.noise_kind == "complex":
                     qv_accum[name] += 2.0 * np.abs(c) ** 2 * dt
                 else:
                     qv_accum[name] += 4.0 * c.real**2 * dt
-            b2 = (bpsi @ vt) - vmean[:, None] * bpsi
-            dpsi = (-0.5 * dt) * b2 + noise[:, step - 1][:, None] * bpsi
-            if ht is not None:
-                dpsi += (-1j * dt) * (psi @ ht)
-        elif ht is not None:
-            dpsi = (-1j * dt) * (psi @ ht)
-        else:
-            dpsi = 0.0
-        new = psi + dpsi
-        nrm = np.linalg.norm(new, axis=1)
-        if not np.all(np.isfinite(nrm)) or np.any(nrm == 0.0):
-            raise NumericalError("state norm became non-finite during integration")
-        psi = new / nrm[:, None]
+        psi = new
         drift_sum += nrm - 1.0
         check_collapse(step)
         if step % plan.record_every == 0:
@@ -659,7 +476,7 @@ def _run_chunk_batched(
                 observables={k: a[i].copy() for k, a in obs.items()},
                 branch_weights={k: a[i].copy() for k, a in weights.items()},
                 entropy_series={k: a[i].copy() for k, a in entropies.items()},
-                final_state=StateVector(sc.space, psi[i]),
+                final_state=StateVector(sc.space, psi[i].copy()),
                 seed=seed,
                 plan=replace(plan, seed=seed),
                 collapsed_branch=cb,
@@ -780,8 +597,10 @@ def lindblad_oracle(
     if abs(tr0 - 1.0) > 1e-8:
         raise NumericalError(f"rho0 trace {tr0} is not 1")
 
-    h = None if hamiltonian is None else _as_dense(hamiltonian, d)
-    v = None if vhat is None else _as_dense(vhat, d)
+    h = _prep_matrix(hamiltonian)
+    v = _prep_matrix(vhat)
+    if any(m is not None and m.shape != (d, d) for m in (h, v)):
+        raise DimensionError("operator and density-matrix dimensions differ")
     v2 = None if v is None else v @ v
 
     def rhs(r: np.ndarray) -> np.ndarray:
@@ -809,14 +628,6 @@ def lindblad_oracle(
             )
         series[i] = rho
     return series
-
-
-def _as_dense(op, d: int) -> np.ndarray:
-    mat = op.matrix if isinstance(op, AssembledOperator) else op
-    arr = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=np.complex128)
-    if arr.shape != (d, d):
-        raise DimensionError("operator and density-matrix dimensions differ")
-    return arr
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -274,6 +274,37 @@ def _max_abs(m) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _prep_matrix(op: AssembledOperator | np.ndarray | None):
+    """Dense for small dims (fast matvec), sparse otherwise."""
+    if op is None:
+        return None
+    mat = op.matrix if isinstance(op, AssembledOperator) else op
+    if sp.issparse(mat):
+        if mat.shape[0] <= 256:
+            return np.asarray(mat.todense())
+        return sp.csr_array(mat)
+    return np.asarray(mat, dtype=np.complex128)
+
+
+def _batch_apply(
+    op: AssembledOperator | np.ndarray | None,
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Prepare ``op`` once for row-wise application to (batch, d) blocks.
+
+    The returned function maps a block whose rows are states to the block
+    whose rows are ``op @ psi``.  A dense matrix is applied as
+    ``psi @ m.T`` with the transpose stored contiguous; a CSR matrix as
+    ``(m @ psi.T).T``, which needs no transposed copy of the matrix.
+    """
+    m = _prep_matrix(op)
+    if m is None:
+        return None
+    if sp.issparse(m):
+        return lambda psi: (m @ psi.T).T
+    mt = np.ascontiguousarray(m.T)
+    return lambda psi: psi @ mt
+
+
 @dataclass(frozen=True)
 class CollapseParams:
     """Scaling constants for the collapse operator.
@@ -556,16 +587,10 @@ def beta_apply(
     amps = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
     if amps.shape != (vhat.space.total_dim,):
         raise DimensionError("state and operator dimensions differ")
-    vec, v_mean = _beta_terms(vhat.matrix, amps)
+    mpsi = vhat.matrix @ amps
+    v_mean = np.vdot(amps, mpsi)
     if abs(v_mean.imag) > 1e-10:
         raise OperatorError(
             f"expectation has imaginary part {v_mean.imag:.3e}; operator not Hermitian?"
         )
-    return vec, float(v_mean.real)
-
-
-def _beta_terms(matrix, amps: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Shared kernel: (matrix @ psi - <matrix> psi, <matrix>)."""
-    mpsi = matrix @ amps
-    v_mean = np.vdot(amps, mpsi)
-    return mpsi - v_mean.real * amps, v_mean
+    return mpsi - v_mean.real * amps, float(v_mean.real)

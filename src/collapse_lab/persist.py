@@ -341,9 +341,18 @@ def load_trajectory_csv(path, meta: dict) -> StoredTrajectory:
     if not lines or not lines[0].startswith("t,norm_pre"):
         raise PersistError(f"{path}: not a trajectory CSV")
     header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.shape[1] != len(header):
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
+    if any(len(row) != len(header) for row in rows):
         raise PersistError(f"{path}: column count mismatch")
+    data = np.array(rows).reshape(len(rows), len(header))
+    plan = IntegrationPlan(**meta["plan"])
+    if data.shape[0] != plan.n_records:
+        raise PersistError(
+            f"{path}: {data.shape[0]} rows, but the plan records {plan.n_records}"
+        )
     by_name = {name: data[:, i] for i, name in enumerate(header)}
 
     observables: dict[str, np.ndarray] = {}
@@ -375,7 +384,7 @@ def load_trajectory_csv(path, meta: dict) -> StoredTrajectory:
             n[len("qv_"):]: v for n, v in by_name.items() if n.startswith("qv_")
         },
         seed=int(meta["seed"]),
-        plan=IntegrationPlan(**meta["plan"]),
+        plan=plan,
         collapsed_branch=meta.get("collapsed_branch"),
         collapse_step=meta.get("collapse_step"),
     )

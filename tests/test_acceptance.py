@@ -18,7 +18,6 @@ from collapse_lab.integrator import (
     IntegrationPlan,
     Observable,
     _prep_matrix,
-    _step,
     lindblad_oracle,
     run_ensemble,
     run_trajectory,
@@ -127,10 +126,11 @@ def test_criterion_4_norm_martingale_and_strong_order():
 
         # the batch evolution must agree with the public single-step routine
         probe = _strong_order_batch(vt, psi0, dxi_fine[:1, :64], dt_fine)[0]
-        psi_check = psi0.copy()
+        psi_check = sc.psi0
         for i in range(64):
-            psi_check, _ = _step(psi_check, None, v, dt_fine, dxi_fine[0, i])
-        assert np.allclose(probe, psi_check, atol=1e-12)
+            psi_check = cl.ito_step(psi_check, None, sc.collapse_op, dt_fine,
+                                    dxi_fine[0, i])
+        assert np.allclose(probe, psi_check.amplitudes, atol=1e-12)
 
         ref = _strong_order_batch(vt, psi0, dxi_fine, dt_fine)
         errs = []

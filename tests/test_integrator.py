@@ -3,6 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 import collapse_lab as cl
+from collapse_lab import integrator
+from collapse_lab.config import from_dict
 from collapse_lab.errors import NumericalError, StabilityError
 from collapse_lab.integrator import (
     IntegrationPlan,
@@ -148,48 +150,108 @@ class TestRunEnsemble:
 
     def test_batched_matches_serial_trajectory(self):
         sc = realize(builtin_scenario("qnd-two-level"))
-        serial = run_trajectory(sc, seed=77)
-        _, recs = run_ensemble(sc, 3, base_seed=77, keep_records=True)
-        batched = recs[0]
-        assert batched.collapsed_branch == serial.collapsed_branch
-        assert batched.collapse_step == serial.collapse_step
-        assert np.allclose(
-            batched.observables["sz"], serial.observables["sz"], atol=1e-12
-        )
+        plan = sc.plan
+        # a `run` writes t = step * dt at each recorded step
+        step_times = [step * plan.dt
+                      for step in range(0, plan.n_steps + 1, plan.record_every)]
+        for seed in (77, 7):
+            serial = run_trajectory(sc, seed=seed)
+            _, recs = run_ensemble(sc, 3, base_seed=seed, keep_records=True)
+            batched = recs[0]
+            assert np.array_equal(serial.times, step_times)
+            assert np.array_equal(batched.times, serial.times)
+            assert batched.collapsed_branch == serial.collapsed_branch
+            assert batched.collapse_step == serial.collapse_step
+            assert np.allclose(
+                batched.observables["sz"], serial.observables["sz"], atol=1e-12
+            )
 
-    def test_parallel_workers_reduce_identically(self):
+    def test_parallel_workers_reduce_identically(self, monkeypatch):
+        # trajectories integrated together in one chunk or split over
+        # several chunks reduce to the same statistics, in seed order
         sc = realize(builtin_scenario("qnd-two-level"))
         import dataclasses
 
         sc = dataclasses.replace(
             sc, plan=IntegrationPlan(dt=1e-3, n_steps=300, seed=0, record_every=50)
         )
-        stats_serial, _ = run_ensemble(sc, 6, base_seed=5, max_workers=1)
-        stats_par, _ = run_ensemble(sc, 6, base_seed=5, max_workers=2)
-        for k in stats_serial.observable_mean:
+        stats_one, _ = run_ensemble(sc, 6, base_seed=5)
+        monkeypatch.setattr(integrator, "BATCH_CHUNK", 2)
+        stats_chunked, recs = run_ensemble(sc, 6, base_seed=5, keep_records=True)
+        assert [r.seed for r in recs] == [5 + i for i in range(6)]
+        assert stats_chunked.outcome_counts == stats_one.outcome_counts
+        for k in stats_one.observable_mean:
             assert np.allclose(
-                stats_serial.observable_mean[k], stats_par.observable_mean[k],
-                atol=1e-12,
+                stats_chunked.observable_mean[k], stats_one.observable_mean[k],
+                rtol=0.0, atol=1e-12,
             )
-        assert stats_serial.outcome_counts == stats_par.outcome_counts
 
     def test_thread_env_var_caps_parallelism(self, monkeypatch):
+        # the number of trajectories integrated together is capped by
+        # BATCH_AMPLITUDES; the retired COLLAPSE_LAB_THREADS changes nothing
         sc = realize(builtin_scenario("qnd-two-level"))
         import dataclasses
 
         sc = dataclasses.replace(
             sc, plan=IntegrationPlan(dt=1e-3, n_steps=200, seed=0, record_every=50)
         )
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "2")
-        stats_env, _ = run_ensemble(sc, 4, base_seed=11)
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
+        monkeypatch.delenv("COLLAPSE_LAB_THREADS", raising=False)
         stats_one, _ = run_ensemble(sc, 4, base_seed=11)
-        assert stats_env.outcome_counts == stats_one.outcome_counts
+
+        sizes = []
+        run_chunk = integrator._run_chunk_batched
+
+        def spy(scenario, seeds, record_states):
+            sizes.append(len(seeds))
+            return run_chunk(scenario, seeds, record_states)
+
+        monkeypatch.setattr(integrator, "_run_chunk_batched", spy)
+        monkeypatch.setattr(
+            integrator, "BATCH_AMPLITUDES", 2 * sc.space.total_dim
+        )
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "4")
+        stats_capped, recs = run_ensemble(sc, 4, base_seed=11, keep_records=True)
+        assert sizes == [2, 2]
+        assert [r.seed for r in recs] == [11, 12, 13, 14]
+        assert stats_capped.outcome_counts == stats_one.outcome_counts
         for k in stats_one.observable_mean:
             assert np.allclose(
-                stats_env.observable_mean[k], stats_one.observable_mean[k],
-                atol=1e-12,
+                stats_capped.observable_mean[k], stats_one.observable_mean[k],
+                rtol=0.0, atol=1e-12,
             )
+
+    @pytest.mark.parametrize("name, n_steps", [
+        ("stern-gerlach", 300),  # dense operators, d = 96
+        ("two-particle-collision", 200),  # sparse operators, d = 4096
+    ])
+    def test_batch_of_one_matches_batch_of_many(self, name, n_steps):
+        import dataclasses
+
+        sc = realize(builtin_scenario(name))
+        sc = dataclasses.replace(
+            sc, plan=dataclasses.replace(sc.plan, n_steps=n_steps, record_every=50)
+        )
+        _, recs = run_ensemble(sc, 3, base_seed=31, keep_records=True)
+        for rec in recs:
+            single = run_trajectory(sc, seed=rec.seed)
+            assert single.collapse_step == rec.collapse_step
+            assert single.collapsed_branch == rec.collapsed_branch
+            for attr in ("observables", "branch_weights", "entropy_series",
+                         "qv_series"):
+                one, many = getattr(single, attr), getattr(rec, attr)
+                assert one.keys() == many.keys()
+                for k in one:
+                    assert np.allclose(one[k], many[k], rtol=0.0, atol=1e-12), k
+            assert np.allclose(single.norms_pre_renorm, rec.norms_pre_renorm,
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(single.final_state.amplitudes,
+                               rec.final_state.amplitudes, rtol=0.0, atol=1e-12)
+
+    def test_stability_guard(self):
+        d = builtin_scenario("qnd-two-level").to_dict()
+        d["plan"].update({"dt": 5.0, "n_steps": 10, "record_every": 1})
+        with pytest.raises(StabilityError):
+            run_ensemble(realize(from_dict(d)), 4)
 
     def test_mean_vhat_matches_oracle(self, qubit_space):
         h = SIGMA_X

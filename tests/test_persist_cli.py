@@ -175,6 +175,23 @@ class TestCli:
         report = json.loads((out / "audit.json").read_text())
         assert report["passed"] is True
 
+    def test_truncated_csv_refused(self, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        out = tmp_path / "ens"
+        assert cli_run(["ensemble", "--config", str(cfg_path), "--n-traj", "4",
+                        "--seed", "50", "--out-dir", str(out),
+                        "--keep-trajectories", "--quiet"]) == 0
+        meta = load_manifest(out).trajectories[1]
+        csv = out / meta["file"]
+        text = csv.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        # whole rows dropped, and the file cut off halfway
+        for cut in ("\n".join(lines[:-3]) + "\n", text[:len(text) // 2]):
+            csv.write_text(cut, encoding="utf-8")
+            with pytest.raises(PersistError):
+                load_trajectory_csv(csv, meta)
+            assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+
     def test_audit_refusal_exit_three(self, tmp_path):
         d = builtin_scenario("qnd-two-level").to_dict()
         d["plan"]["n_steps"] = 200
