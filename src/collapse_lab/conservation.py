@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import ndtr, ndtri
 
 from .errors import AuditRefusal, DimensionError, NumericalError, OperatorError
 from .hilbert import CompositeSpace, StateVector
@@ -50,6 +51,7 @@ __all__ = [
     "commutator_certificate",
     "classify_quantity",
     "lindblad_drift_rate_bound",
+    "family_threshold",
     "audit_trajectory",
     "audit_run",
 ]
@@ -87,7 +89,7 @@ def expectation(quantity: ConservedQuantity | AssembledOperator, psi: StateVecto
     amps = psi.amplitudes
     if op.matrix.shape[0] != amps.shape[0]:
         raise DimensionError("state and operator dimensions differ")
-    val = complex(np.vdot(amps, op.matrix @ amps))
+    val = complex(np.vdot(amps, op.apply(amps)))
     if op.unitary:
         if abs(val) > 1.0 + 1e-9:
             raise NumericalError(f"unitary expectation has modulus {abs(val)} > 1")
@@ -213,7 +215,7 @@ def classify_quantity(
     details["commutator_with_collapse"] = comm_v.value
 
     amps = psi0.amplitudes
-    qpsi = quantity.operator.matrix @ amps
+    qpsi = quantity.operator.apply(amps)
     lam = complex(np.vdot(amps, qpsi))
     residual = float(np.linalg.norm(qpsi - lam * amps))
     details["eigenstate_residual"] = residual
@@ -454,7 +456,7 @@ def _branch_total_check(record, quantity, series, hamiltonian, vhat) -> dict:
     idx = int(np.ceil(record.collapse_step / plan.record_every))
     idx = min(idx, len(series) - 1)
     elapsed = record.times[idx]
-    rate = lindblad_drift_rate_bound(hamiltonian.matrix, vhat.matrix) \
+    rate = lindblad_drift_rate_bound(hamiltonian, vhat) \
         if hamiltonian is not None else 0.0
     qv = float(record.qv_series[quantity.name][idx])
     bound = rate * elapsed + 5.0 * np.sqrt(max(qv, 0.0)) + 1e-9
@@ -471,6 +473,15 @@ def _branch_total_check(record, quantity, series, hamiltonian, vhat) -> dict:
     }
 
 
+def family_threshold(n_sigma: float, m: int) -> float:
+    """Bonferroni threshold z_m = Phi^-1(1 - Phi(-n_sigma) / m).
+
+    Testing m checkpoints at z_m each keeps the chance that any of them
+    trips on a correct run at most that of one n_sigma test.
+    """
+    return float(-ndtri(ndtr(-n_sigma) / m))
+
+
 def audit_run(
     records: list["TrajectoryRecord"],
     quantities: list[ConservedQuantity],
@@ -481,11 +492,13 @@ def audit_run(
 ) -> AuditReport:
     """Audit a set of trajectories: per-trajectory checks plus ensemble tests.
 
-    Martingale quantities must keep their ensemble mean within
-    ``n_sigma`` standard errors of the initial value at every checkpoint;
-    lindblad-governed Hermitian quantities must track the density-matrix
-    oracle within ``n_sigma`` standard errors when the dimension permits
-    running it.
+    Martingale quantities and commuting branch weights must keep their
+    ensemble mean within z standard errors of the initial value at every
+    checkpoint; lindblad-governed Hermitian quantities must track the
+    density-matrix oracle within z standard errors when the dimension
+    permits running it.  z is :func:`family_threshold` of ``n_sigma`` over
+    the m = n_records - 1 checkpoints after t = 0, so the whole series has
+    the false-alarm rate of a single ``n_sigma`` test.
     """
     if not records:
         raise DimensionError("audit_run needs at least one trajectory record")
@@ -512,6 +525,8 @@ def audit_run(
 
     n = len(records)
     if n >= 2:
+        m = len(records[0].times) - 1
+        z = family_threshold(n_sigma, m)
         for q in quantities:
             classification, _ = classified[q.name]
             series = np.array([_drift_series(rec, q) for rec in records])
@@ -521,12 +536,7 @@ def audit_run(
             se = series.real.std(axis=0, ddof=1) / np.sqrt(n)
             if classification == "martingale":
                 dev = np.abs(mean - mean[0])
-                ok = bool(np.all(dev <= n_sigma * se + 1e-12))
-                report.ensemble[f"martingale:{q.name}"] = {
-                    "max_deviation": float(dev.max()),
-                    "max_allowed": float((n_sigma * se + 1e-12).max()),
-                    "passed": ok,
-                }
+                report.ensemble[f"martingale:{q.name}"] = _within(dev, se, z, m)
             elif classification == "lindblad-governed":
                 dim = scenario.space.total_dim
                 if dim > oracle_max_dim:
@@ -551,12 +561,7 @@ def audit_run(
                     [float(np.real(np.trace(qdense @ rhos[k]))) for k in checkpoints]
                 )
                 dev = np.abs(mean - oracle_vals)
-                ok = bool(np.all(dev <= n_sigma * se + 1e-12))
-                report.ensemble[f"oracle:{q.name}"] = {
-                    "max_deviation": float(dev.max()),
-                    "max_allowed": float((n_sigma * se + 1e-12).max()),
-                    "passed": ok,
-                }
+                report.ensemble[f"oracle:{q.name}"] = _within(dev, se, z, m)
 
         # branch weights are martingales whenever they commute with the dynamics
         if scenario.branches and records[0].branch_weights:
@@ -579,12 +584,20 @@ def audit_run(
                 if not commuting:
                     continue
                 dev = np.abs(mean - mean[0])
-                ok = bool(np.all(dev <= n_sigma * se + 1e-12))
                 report.ensemble[f"branch_martingale:{br.label}"] = {
-                    "initial_weight": float(mean[0]),
-                    "max_deviation": float(dev.max()),
-                    "max_allowed": float((n_sigma * se + 1e-12).max()),
-                    "passed": ok,
+                    "initial_weight": float(mean[0]), **_within(dev, se, z, m)
                 }
 
     return report
+
+
+def _within(dev: np.ndarray, se: np.ndarray, z: float, m: int) -> dict:
+    """Section of an ensemble test: every deviation within z standard errors."""
+    allowed = z * se + 1e-12
+    return {
+        "max_deviation": float(dev.max()),
+        "max_allowed": float(allowed.max()),
+        "z": z,
+        "checkpoints": m,
+        "passed": bool(np.all(dev <= allowed)),
+    }

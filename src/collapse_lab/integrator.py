@@ -20,14 +20,14 @@ equation  d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .entanglement import Bipartition
 from .errors import DimensionError, NumericalError, StabilityError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _batch_apply, _prep_matrix
+from .operators import AssembledOperator, _prep_matrix
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -100,41 +100,33 @@ def check_stability(plan: IntegrationPlan, vhat: AssembledOperator | None) -> No
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Recorded quantity; ``kind`` selects the evaluation rule.
-
-    diag:           real expectation of a diagonal operator (fast path)
-    matrix:         real expectation of a Hermitian operator
-    matrix_complex: complex expectation (symmetry generators)
-    width:          sqrt(<x^2> - <x>^2) from two diagonals
-    """
+    """Recorded quantity: the expectation ``<psi| op |psi>``, complex if and
+    only if ``op`` is not Hermitian; with ``kind="width"``, the spread
+    ``sqrt(<op^2> - <op>^2)`` of a Hermitian ``op``."""
 
     name: str
-    kind: str
-    matrix: object = None
-    diag: np.ndarray | None = None
-    diag2: np.ndarray | None = None
+    op: AssembledOperator
+    kind: str = "expectation"
 
-    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Prepare once; return a map from a (batch, d) block of states to
-        one value per row."""
-        if self.kind == "diag":
-            return lambda psi: (np.abs(psi) ** 2) @ self.diag
-        if self.kind in ("matrix", "matrix_complex"):
-            apply = _batch_apply(self.matrix)
-            if self.kind == "matrix":
-                return lambda psi: np.vecdot(psi, apply(psi)).real
-            return lambda psi: np.vecdot(psi, apply(psi))
-        if self.kind == "width":
-            def width(psi):
-                p = np.abs(psi) ** 2
-                mean = p @ self.diag
-                return np.sqrt(np.maximum(p @ self.diag2 - mean**2, 0.0))
-            return width
-        raise ValueError(f"unknown observable kind {self.kind!r}")
+    def __post_init__(self):
+        if self.kind not in ("expectation", "width"):
+            raise ValueError(f"unknown observable kind {self.kind!r}")
+        if self.kind == "width" and not self.op.hermitian:
+            raise ValueError("a width needs a Hermitian operator")
+
+    def evaluate(self, psi: np.ndarray) -> np.ndarray:
+        """One value per row of a (batch, d) block of states."""
+        opsi = self.op.apply(psi)
+        mean = np.vecdot(psi, opsi)
+        if self.is_complex:
+            return mean
+        if self.kind == "expectation":
+            return mean.real
+        return np.sqrt(np.maximum(np.vecdot(opsi, opsi).real - mean.real**2, 0.0))
 
     @property
     def is_complex(self) -> bool:
-        return self.kind == "matrix_complex"
+        return not self.op.hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +153,7 @@ class RealizedScenario:
     observables: tuple[Observable, ...] = ()
     branches: tuple[Branch, ...] = ()
     bipartitions: tuple[Bipartition, ...] = ()
-    qv_tracks: tuple[tuple[str, object], ...] = ()
+    qv_tracks: tuple[str, ...] = ()  # names recording the QV of <H>
     config: "ScenarioConfig | None" = None
 
 
@@ -182,7 +174,7 @@ class TrajectoryRecord:
     observables: dict[str, np.ndarray]
     branch_weights: dict[str, np.ndarray]
     entropy_series: dict[str, np.ndarray]
-    final_state: StateVector
+    final_state: StateVector | None  # None when reloaded from disk
     seed: int
     plan: IntegrationPlan
     collapsed_branch: str | None = None
@@ -215,32 +207,31 @@ class TrajectoryRecord:
         return self.collapse_step * self.plan.dt
 
 
-def _step(psi: np.ndarray, h, v, dt: float, dxi: np.ndarray):
+def _step(psi: np.ndarray, h: AssembledOperator | None,
+          v: AssembledOperator | None, dt: float, dxi: np.ndarray | None):
     """One renormalized Euler-Maruyama step of a (batch, d) block of states.
 
-    ``h`` and ``v`` are row appliers from :func:`_batch_apply` (or None) and
     ``dxi`` holds one noise increment per row.  Returns the new block, the
-    pre-renormalization norms and the deviation ``beta = V psi - <V> psi``
-    at the pre-step state (None without V).  The arithmetic is in place:
-    temporaries of the state size cost measurable time at large dims.
+    pre-renormalization norms, the deviation ``beta = V psi - <V> psi``
+    and the unscaled ``H psi``, both at the pre-step state (None without V
+    or H).  The arithmetic is in place: temporaries of the state size cost
+    measurable time at large dims.
     """
+    hpsi = None if h is None else h.apply(psi)
     beta = None
     if v is not None:
-        beta = v(psi)
+        beta = v.apply(psi)
         vmean = np.vecdot(psi, beta).real[:, None]
         beta -= vmean * psi
-        new = v(beta)
+        new = v.apply(beta)
         new -= vmean * beta
         new *= -0.5 * dt
         new += dxi[:, None] * beta
-        if h is not None:
-            hpsi = h(psi)
-            hpsi *= -1j * dt
-            new += hpsi
+        if hpsi is not None:
+            new += hpsi * (-1j * dt)
         new += psi
-    elif h is not None:
-        new = h(psi)
-        new *= -1j * dt
+    elif hpsi is not None:
+        new = hpsi * (-1j * dt)
         new += psi
     else:
         new = psi.copy()
@@ -248,7 +239,7 @@ def _step(psi: np.ndarray, h, v, dt: float, dxi: np.ndarray):
     if not np.all(np.isfinite(nrm)) or np.any(nrm == 0.0):
         raise NumericalError("state norm became non-finite during integration")
     new /= nrm[:, None]
-    return new, nrm, beta
+    return new, nrm, beta, hpsi
 
 
 def ito_step(
@@ -266,8 +257,8 @@ def ito_step(
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError("dt must be positive and finite")
     check_stability(IntegrationPlan(dt=dt, n_steps=1), vhat)
-    new, _, _ = _step(psi.amplitudes[None, :], _batch_apply(hamiltonian),
-                      _batch_apply(vhat), dt, np.array([complex(noise)]))
+    new, _, _, _ = _step(psi.amplitudes[None, :], hamiltonian, vhat, dt,
+                         np.array([complex(noise)]))
     return StateVector(psi.space, new[0])
 
 
@@ -368,6 +359,9 @@ BATCH_CHUNK = 512
 # caches; at d = 4096 a 512-trajectory chunk ran 1.75x slower per
 # trajectory-step than one trajectory at a time.
 BATCH_AMPLITUDES = 1 << 15
+# Steps of noise drawn at once per trajectory: 4 MB for a 512-trajectory
+# chunk, where drawing the whole run at once took 41 MB on qnd-two-level.
+NOISE_BLOCK = 500
 
 
 def _run_chunk_batched(
@@ -377,28 +371,27 @@ def _run_chunk_batched(
 
     Each trajectory consumes its own generator stream, seeded by its seed,
     so a trajectory does not depend on the batch it runs in beyond
-    rounding.  A single trajectory is a batch of one.
+    rounding.  A single trajectory is a batch of one.  Increments are drawn
+    ``NOISE_BLOCK`` steps at a time; blocks of one stream give the same
+    values as one long draw.
     """
     plan = sc.plan
     check_stability(plan, sc.collapse_op)
     b = len(seeds)
     d = sc.space.total_dim
     dt = plan.dt
-    h = _batch_apply(sc.hamiltonian)
-    v = _batch_apply(sc.collapse_op)
-    qv_mats = [(name, _batch_apply(m)) for name, m in sc.qv_tracks]
-    evaluators = [(o.name, o.evaluator()) for o in sc.observables]
+    h, v = sc.hamiltonian, sc.collapse_op
+    rngs = [np.random.default_rng(s) for s in seeds]
 
-    noise = None
-    if v is not None:
-        noise = np.empty((b, plan.n_steps), dtype=np.complex128)
-        for i, s in enumerate(seeds):
-            rng = np.random.default_rng(s)
+    def draw_noise(n: int) -> np.ndarray:
+        noise = np.empty((b, n), dtype=np.complex128)
+        for i, rng in enumerate(rngs):
             if plan.noise_kind == "complex":
-                w = rng.standard_normal(2 * plan.n_steps)
+                w = rng.standard_normal(2 * n)
                 noise[i] = (w[0::2] + 1j * w[1::2]) * np.sqrt(dt / 2.0)
             else:
-                noise[i] = rng.standard_normal(plan.n_steps) * np.sqrt(dt)
+                noise[i] = rng.standard_normal(n) * np.sqrt(dt)
+        return noise
 
     psi = np.tile(sc.psi0.amplitudes, (b, 1))
 
@@ -412,8 +405,8 @@ def _run_chunk_batched(
     }
     weights = {br.label: np.empty((b, n_rec)) for br in sc.branches}
     entropies = {part.name(): np.empty((b, n_rec)) for part in sc.bipartitions}
-    qv = {name: np.empty((b, n_rec)) for name, _ in qv_mats}
-    qv_accum = {name: np.zeros(b) for name, _ in qv_mats}
+    qv = {name: np.empty((b, n_rec)) for name in sc.qv_tracks}
+    qv_accum = np.zeros(b)
     states = np.empty((b, n_rec, d), dtype=np.complex128) if record_states else None
 
     collapse_step = np.full(b, -1, dtype=np.int64)
@@ -422,14 +415,14 @@ def _run_chunk_batched(
 
     def record(idx: int, pre_norms: np.ndarray):
         norms[:, idx] = pre_norms
-        for name, evaluate in evaluators:
-            obs[name][:, idx] = evaluate(psi)
+        for o in sc.observables:
+            obs[o.name][:, idx] = o.evaluate(psi)
         for br in sc.branches:
             weights[br.label][:, idx] = br.weights(psi)
         for part in sc.bipartitions:
             entropies[part.name()][:, idx] = part.entropies(sc.space, psi)
-        for name, _ in qv_mats:
-            qv[name][:, idx] = qv_accum[name]
+        for name in sc.qv_tracks:
+            qv[name][:, idx] = qv_accum
         if states is not None:
             states[:, idx, :] = psi
 
@@ -448,16 +441,19 @@ def _run_chunk_batched(
 
     idx = 1
     for step in range(1, plan.n_steps + 1):
-        dxi = None if noise is None else noise[:, step - 1]
-        new, nrm, beta = _step(psi, h, v, dt, dxi)
-        if beta is not None:
-            # quadratic-variation tracking uses the pre-step state
-            for name, q in qv_mats:
-                c = np.vecdot(q(psi), beta)
-                if plan.noise_kind == "complex":
-                    qv_accum[name] += 2.0 * np.abs(c) ** 2 * dt
-                else:
-                    qv_accum[name] += 4.0 * c.real**2 * dt
+        dxi = None
+        if v is not None:
+            if (step - 1) % NOISE_BLOCK == 0:
+                noise = draw_noise(min(NOISE_BLOCK, plan.n_steps - step + 1))
+            dxi = noise[:, (step - 1) % NOISE_BLOCK]
+        new, nrm, beta, hpsi = _step(psi, h, v, dt, dxi)
+        if sc.qv_tracks and beta is not None and hpsi is not None:
+            # quadratic variation of <H>, from the pre-step H psi and beta
+            c = np.vecdot(hpsi, beta)
+            if plan.noise_kind == "complex":
+                qv_accum += 2.0 * np.abs(c) ** 2 * dt
+            else:
+                qv_accum += 4.0 * c.real**2 * dt
         psi = new
         drift_sum += nrm - 1.0
         check_collapse(step)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,8 +45,8 @@ __all__ = [
     "beta_apply",
     "embed_operator",
     "embed_diagonal",
+    "diagonal_operator",
     "kinetic_matrix",
-    "position_diagonal",
     "spin_z_matrix",
     "momentum_operator",
     "pair_potential_from_config",
@@ -227,6 +228,7 @@ class AssembledOperator:
     ``hermitian`` is validated at construction (max-norm deviation from
     the adjoint below 1e-12).  ``unitary`` marks symmetry generators such
     as the total lattice shift; those are deliberately not Hermitian.
+    :meth:`apply` maps a state ``(d,)`` or a block of states ``(b, d)``.
     """
 
     space: CompositeSpace
@@ -243,19 +245,43 @@ class AssembledOperator:
         n = self.space.total_dim
         if m.shape != (n, n):
             raise DimensionError(f"operator shape {m.shape} does not match dim {n}")
+        object.__setattr__(self, "matrix", m)
         if self.hermitian:
-            dev = _max_abs(m - m.conj().T)
+            diag = self._diagonal
+            dev = _max_abs(m - m.conj().T if diag is None else diag - diag.conj())
             if dev > HERMITICITY_TOL:
                 raise OperatorError(
                     f"operator flagged hermitian but max |M - M^dag| = {dev:.3e}"
                 )
-        object.__setattr__(self, "matrix", m)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
+    @cached_property
+    def _diagonal(self) -> np.ndarray | None:
+        """The diagonal when every stored entry lies on it, else None."""
+        m = self.matrix
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return m.diagonal() if np.array_equal(m.indices, rows) else None
+
+    @cached_property
+    def _applier(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Applied form, prepared once: an elementwise product for a
+        diagonal, ``psi @ m.T`` with the transpose stored contiguous for
+        d <= 256, and CSR otherwise.  For a real diagonal the elementwise
+        product equals the dense and CSR sums exactly."""
+        diag = self._diagonal
+        if diag is not None:
+            return lambda psi: diag * psi
+        m = self.matrix
+        if m.shape[0] <= 256:
+            mt = np.ascontiguousarray(m.toarray().T)
+            return lambda psi: psi @ mt
+        return lambda psi: (m @ psi.T).T
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.matrix @ psi
+        """``M psi`` for a state, or for each row of a (batch, d) block."""
+        return self._applier(psi)
 
     def max_abs(self) -> float:
         return _max_abs(self.matrix)
@@ -275,7 +301,7 @@ def _max_abs(m) -> float:
 
 
 def _prep_matrix(op: AssembledOperator | np.ndarray | None):
-    """Dense for small dims (fast matvec), sparse otherwise."""
+    """Matrix-algebra form: dense for small dims, sparse otherwise."""
     if op is None:
         return None
     mat = op.matrix if isinstance(op, AssembledOperator) else op
@@ -284,25 +310,6 @@ def _prep_matrix(op: AssembledOperator | np.ndarray | None):
             return np.asarray(mat.todense())
         return sp.csr_array(mat)
     return np.asarray(mat, dtype=np.complex128)
-
-
-def _batch_apply(
-    op: AssembledOperator | np.ndarray | None,
-) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Prepare ``op`` once for row-wise application to (batch, d) blocks.
-
-    The returned function maps a block whose rows are states to the block
-    whose rows are ``op @ psi``.  A dense matrix is applied as
-    ``psi @ m.T`` with the transpose stored contiguous; a CSR matrix as
-    ``(m @ psi.T).T``, which needs no transposed copy of the matrix.
-    """
-    m = _prep_matrix(op)
-    if m is None:
-        return None
-    if sp.issparse(m):
-        return lambda psi: (m @ psi.T).T
-    mt = np.ascontiguousarray(m.T)
-    return lambda psi: psi @ mt
 
 
 @dataclass(frozen=True)
@@ -350,11 +357,6 @@ def kinetic_matrix(sub: SubsystemSpec, mass: float | None = None) -> sp.csr_arra
         mat[0, d - 1] = -coeff
         mat[d - 1, 0] = -coeff
     return sp.csr_array(mat, dtype=np.complex128)
-
-
-def position_diagonal(sub: SubsystemSpec) -> np.ndarray:
-    """Diagonal of the position operator on a lattice subsystem."""
-    return sub.positions()
 
 
 def spin_z_matrix(dim: int = 2) -> np.ndarray:
@@ -417,6 +419,16 @@ def embed_diagonal(space: CompositeSpace, diags: Mapping[str, np.ndarray]) -> np
             vec = np.ones(sub.dim, dtype=np.complex128)
         full = np.kron(full, vec)
     return full
+
+
+def diagonal_operator(space: CompositeSpace, label: str, values) -> AssembledOperator:
+    """Hermitian operator diagonal in the basis: ``values`` on subsystem
+    ``label``, identity elsewhere."""
+    diag = embed_diagonal(space, {label: np.asarray(values, dtype=np.complex128)})
+    n = diag.size
+    # CSR built directly: sp.diags_array takes 5x as long at these sizes
+    mat = sp.csr_array((diag, np.arange(n), np.arange(n + 1)), shape=(n, n))
+    return AssembledOperator(space, mat, hermitian=True)
 
 
 def _pair_diagonal(space: CompositeSpace, ai: int, aj: int, table: np.ndarray) -> np.ndarray:
@@ -587,7 +599,7 @@ def beta_apply(
     amps = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
     if amps.shape != (vhat.space.total_dim,):
         raise DimensionError("state and operator dimensions differ")
-    mpsi = vhat.matrix @ amps
+    mpsi = vhat.apply(amps)
     v_mean = np.vdot(amps, mpsi)
     if abs(v_mean.imag) > 1e-10:
         raise OperatorError(

@@ -7,24 +7,28 @@ branch weights appear as ``branch_<label>``, entropies as
 Floats are written with shortest round-trip repr, so identical (config,
 seed) runs produce byte-identical files on one platform.
 
-Writes are idempotent per (config hash, seeds): re-persisting the same run
-is a no-op, while a differing manifest at the same path is refused rather
+The manifest records the sha256 of every artifact, and
+:func:`load_trajectory_csv` refuses a file that does not match it.  Writes
+are idempotent per (config hash, seeds, content): re-persisting the same
+run over intact files is a no-op, damaged files of the same run are
+rewritten, and a differing manifest at the same path is refused rather
 than overwritten.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .config import ScenarioConfig, config_hash
-from .errors import PersistError
+from .errors import DimensionError, NumericalError, PersistError
 from .integrator import EnsembleStats, IntegrationPlan, TrajectoryRecord
 
 __all__ = [
@@ -33,7 +37,6 @@ __all__ = [
     "persist_run",
     "load_manifest",
     "load_trajectory_csv",
-    "StoredTrajectory",
     "trajectory_csv_text",
 ]
 
@@ -52,7 +55,7 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
     created_at: str = ""
-    schema_version: int = 1
+    schema_version: int = 2
 
     def identity(self) -> dict:
         """Fields that define sameness; timestamps excluded."""
@@ -65,17 +68,7 @@ class RunManifest:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "config_hash": self.config_hash,
-            "config": self.config,
-            "kind": self.kind,
-            "seeds": list(self.seeds),
-            "trajectories": list(self.trajectories),
-            "artifacts": dict(self.artifacts),
-            "created_at": self.created_at,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
@@ -137,18 +130,20 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_json_dict(record: TrajectoryRecord) -> dict:
-    def series_out(arr):
-        if np.iscomplexobj(arr):
-            return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-        return np.asarray(arr, dtype=float).tolist()
+def _series_out(arr):
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr):
+        return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+    return arr.tolist()
 
+
+def _trajectory_json_dict(record: TrajectoryRecord) -> dict:
     return {
         "schema_version": 1,
         "seed": record.seed,
         "t": record.times.tolist(),
         "norm_pre": record.norms_pre_renorm.tolist(),
-        "observables": {k: series_out(v) for k, v in record.observables.items()},
+        "observables": {k: _series_out(v) for k, v in record.observables.items()},
         "branch_weights": {k: v.tolist() for k, v in record.branch_weights.items()},
         "entropy": {k: v.tolist() for k, v in record.entropy_series.items()},
         "qv": {k: v.tolist() for k, v in record.qv_series.items()},
@@ -164,7 +159,7 @@ def _summary_dict(record: TrajectoryRecord) -> dict:
     return {
         "schema_version": 1,
         "seed": record.seed,
-        "plan": _plan_dict(record.plan),
+        "plan": asdict(record.plan),
         "collapsed_branch": record.collapsed_branch,
         "collapse_step": record.collapse_step,
         "collapse_time": record.collapse_time,
@@ -179,33 +174,16 @@ def _summary_dict(record: TrajectoryRecord) -> dict:
     }
 
 
-def _plan_dict(plan: IntegrationPlan) -> dict:
-    return {
-        "dt": plan.dt,
-        "n_steps": plan.n_steps,
-        "seed": plan.seed,
-        "noise_kind": plan.noise_kind,
-        "record_every": plan.record_every,
-        "collapse_threshold": plan.collapse_threshold,
-    }
-
-
 def ensemble_json_dict(stats: EnsembleStats, plan: IntegrationPlan) -> dict:
-    def series_out(arr):
-        arr = np.asarray(arr)
-        if np.iscomplexobj(arr):
-            return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-        return arr.tolist()
-
     return {
         "schema_version": 1,
         "n_traj": stats.n_traj,
         "base_seed": stats.base_seed,
-        "plan": _plan_dict(plan),
+        "plan": asdict(plan),
         "t": stats.times.tolist(),
-        "observable_mean": {k: series_out(v) for k, v in stats.observable_mean.items()},
+        "observable_mean": {k: _series_out(v) for k, v in stats.observable_mean.items()},
         "observable_stderr": {
-            k: series_out(v) for k, v in stats.observable_stderr.items()
+            k: _series_out(v) for k, v in stats.observable_stderr.items()
         },
         "branch_weight_mean": {
             k: v.tolist() for k, v in stats.branch_weight_mean.items()
@@ -220,9 +198,16 @@ def ensemble_json_dict(stats: EnsembleStats, plan: IntegrationPlan) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha256(path: Path) -> str | None:
+    return _sha256(path.read_bytes()) if path.exists() else None
 
 
 def load_manifest(out_dir) -> RunManifest:
@@ -236,6 +221,30 @@ def load_manifest(out_dir) -> RunManifest:
     return RunManifest.from_dict(raw)
 
 
+def _artifact_bytes(
+    records: list[TrajectoryRecord],
+    manifest: RunManifest,
+    stats: EnsembleStats | None,
+    fmt: str,
+) -> Iterator[tuple[str, bytes]]:
+    """(file name, content) of each artifact of a run, one at a time."""
+    for rec in records:
+        if fmt == "csv":
+            yield f"trajectory_seed{rec.seed}.csv", trajectory_csv_text(rec).encode("utf-8")
+        else:
+            yield f"trajectory_seed{rec.seed}.json", _json_bytes(_trajectory_json_dict(rec))
+    yield "summary.json", _json_bytes({
+        "schema_version": 1,
+        "config_hash": manifest.config_hash,
+        "runs": [_summary_dict(rec) for rec in records],
+    })
+    if stats is not None:
+        plan = records[0].plan if records else IntegrationPlan(
+            **manifest.config["plan"]
+        )
+        yield "ensemble.json", _json_bytes(ensemble_json_dict(stats, plan))
+
+
 def persist_run(
     records: list[TrajectoryRecord],
     manifest: RunManifest,
@@ -246,98 +255,68 @@ def persist_run(
 ) -> dict[str, str]:
     """Write run artifacts under ``out_dir`` and return the file map.
 
-    Same-content re-runs are no-ops; a conflicting manifest at the same
-    path raises :class:`PersistError` instead of overwriting anything.
+    The manifest's ``artifacts`` and trajectory entries record each file's
+    sha256.  A re-run of the same run is a no-op when the files on disk
+    still match their hashes and rewrites them otherwise; a conflicting
+    manifest at the same path raises :class:`PersistError` instead of
+    overwriting anything.
     """
     if fmt not in ("csv", "json"):
         raise PersistError(f"unknown format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / MANIFEST_NAME
+    existing = load_manifest(out) if manifest_path.exists() else None
 
-    ext = "csv" if fmt == "csv" else "json"
+    hashes: dict[str, str] = {}
+    for name, data in _artifact_bytes(records, manifest, stats, fmt):
+        hashes[name] = _sha256(data)
+        if existing is None:
+            (out / name).write_bytes(data)
     manifest.trajectories = [
         {
             "seed": rec.seed,
-            "file": f"trajectory_seed{rec.seed}.{ext}",
+            "file": name,  # trajectory files come first, in record order
+            "sha256": hashes[name],
             "collapsed_branch": rec.collapsed_branch,
             "collapse_step": rec.collapse_step,
-            "plan": _plan_dict(rec.plan),
+            "plan": asdict(rec.plan),
         }
-        for rec in records
+        for rec, name in zip(records, hashes)
     ]
-    artifacts = {t["file"]: t["file"] for t in manifest.trajectories}
-    artifacts["summary.json"] = "summary.json"
-    if stats is not None:
-        artifacts["ensemble.json"] = "ensemble.json"
-    manifest.artifacts = artifacts
+    manifest.artifacts = hashes
+    paths = {name: str(out / name) for name in [*hashes, MANIFEST_NAME]}
 
-    existing_path = out / MANIFEST_NAME
-    if existing_path.exists():
-        existing = load_manifest(out)
-        if existing.identity() == manifest.identity():
-            names = list(artifacts) + [MANIFEST_NAME]
-            return {name: str(out / name) for name in names}
-        raise PersistError(
-            f"{existing_path} already holds a different run "
-            f"(hash {existing.config_hash[:12]} vs {manifest.config_hash[:12]}); "
-            "refusing to overwrite"
-        )
+    if existing is not None:
+        if existing.identity() != manifest.identity():
+            raise PersistError(
+                f"{manifest_path} already holds a different run "
+                f"(hash {existing.config_hash[:12]} vs {manifest.config_hash[:12]}, "
+                f"schema {existing.schema_version} vs {manifest.schema_version}); "
+                "refusing to overwrite"
+            )
+        if all(_file_sha256(out / name) == h for name, h in hashes.items()):
+            return paths
+        for name, data in _artifact_bytes(records, manifest, stats, fmt):
+            (out / name).write_bytes(data)
 
-    paths: dict[str, str] = {}
-    for rec, meta in zip(records, manifest.trajectories):
-        fpath = out / meta["file"]
-        if fmt == "csv":
-            fpath.write_text(trajectory_csv_text(rec), encoding="utf-8")
-        else:
-            _write_json(fpath, _trajectory_json_dict(rec))
-        paths[meta["file"]] = str(fpath)
-
-    summary = {
-        "schema_version": 1,
-        "config_hash": manifest.config_hash,
-        "runs": [_summary_dict(rec) for rec in records],
-    }
-    _write_json(out / "summary.json", summary)
-    paths["summary.json"] = str(out / "summary.json")
-
-    if stats is not None:
-        plan = records[0].plan if records else IntegrationPlan(
-            **manifest.config["plan"]
-        )
-        _write_json(out / "ensemble.json", ensemble_json_dict(stats, plan))
-        paths["ensemble.json"] = str(out / "ensemble.json")
-
-    _write_json(existing_path, manifest.to_dict())
-    paths[MANIFEST_NAME] = str(existing_path)
+    manifest_path.write_bytes(_json_bytes(manifest.to_dict()))
     return paths
 
 
-@dataclass(eq=False)
-class StoredTrajectory:
-    """Trajectory series reloaded from disk; duck-types TrajectoryRecord
-    for auditing (no final state)."""
+def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
+    """Rebuild a stored trajectory from its CSV plus manifest metadata.
 
-    times: np.ndarray
-    norms_pre_renorm: np.ndarray
-    observables: dict
-    branch_weights: dict
-    entropy_series: dict
-    qv_series: dict
-    seed: int
-    plan: IntegrationPlan
-    collapsed_branch: str | None
-    collapse_step: int | None
-
-    @property
-    def collapse_time(self) -> float | None:
-        if self.collapse_step is None:
-            return None
-        return self.collapse_step * self.plan.dt
-
-
-def load_trajectory_csv(path, meta: dict) -> StoredTrajectory:
-    """Rebuild a stored trajectory from its CSV plus manifest metadata."""
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
+    The file must match the sha256 in ``meta``.  The record has no final
+    state; series-length and branch-partition failures are
+    :class:`PersistError`.
+    """
+    raw = Path(path).read_bytes()
+    if "sha256" not in meta:
+        raise PersistError(f"{path}: the manifest records no content hash")
+    if _sha256(raw) != meta["sha256"]:
+        raise PersistError(f"{path}: content does not match the manifest hash")
+    lines = raw.decode("utf-8").strip().split("\n")
     if not lines or not lines[0].startswith("t,norm_pre"):
         raise PersistError(f"{path}: not a trajectory CSV")
     header = lines[0].split(",")
@@ -369,22 +348,27 @@ def load_trajectory_csv(path, meta: dict) -> StoredTrajectory:
         else:
             observables[name] = by_name[name]
 
-    return StoredTrajectory(
-        times=by_name["t"],
-        norms_pre_renorm=by_name["norm_pre"],
-        observables=observables,
-        branch_weights={
-            n[len("branch_"):]: v for n, v in by_name.items() if n.startswith("branch_")
-        },
-        entropy_series={
-            n[len("entropy_"):]: v for n, v in by_name.items()
-            if n.startswith("entropy_")
-        },
-        qv_series={
-            n[len("qv_"):]: v for n, v in by_name.items() if n.startswith("qv_")
-        },
-        seed=int(meta["seed"]),
-        plan=plan,
-        collapsed_branch=meta.get("collapsed_branch"),
-        collapse_step=meta.get("collapse_step"),
-    )
+    try:
+        return TrajectoryRecord(
+            times=by_name["t"],
+            norms_pre_renorm=by_name["norm_pre"],
+            observables=observables,
+            branch_weights={
+                n[len("branch_"):]: v for n, v in by_name.items()
+                if n.startswith("branch_")
+            },
+            entropy_series={
+                n[len("entropy_"):]: v for n, v in by_name.items()
+                if n.startswith("entropy_")
+            },
+            final_state=None,
+            seed=int(meta["seed"]),
+            plan=plan,
+            collapsed_branch=meta.get("collapsed_branch"),
+            collapse_step=meta.get("collapse_step"),
+            qv_series={
+                n[len("qv_"):]: v for n, v in by_name.items() if n.startswith("qv_")
+            },
+        )
+    except (DimensionError, NumericalError) as exc:
+        raise PersistError(f"{path}: {exc}") from None

@@ -55,12 +55,12 @@ from .operators import (
     SpinCouplingTerm,
     assemble_hamiltonian,
     collapse_operator,
+    diagonal_operator,
     embed_diagonal,
     momentum_operator,
     pair_potential_from_config,
     scaled_interaction_sum,
     spin_z_matrix,
-    position_diagonal,
 )
 
 __all__ = [
@@ -188,40 +188,33 @@ def _realize_observable(
 ) -> Observable:
     name, kind = spec["name"], spec["kind"]
     if kind == "energy":
-        return Observable(name, "matrix", matrix=hamiltonian.matrix)
+        return Observable(name, hamiltonian)
     if kind == "collapse_potential":
         if vhat is None:
             raise ConfigError(
                 [f"observables: {name!r} needs collapse enabled"]
             )
-        return Observable(name, "matrix", matrix=vhat.matrix)
+        return Observable(name, vhat)
     if kind == "spin_z":
-        sub = space.subsystem(spec["subsystem"])
-        diag = np.diag(spin_z_matrix(sub.dim)).astype(np.complex128)
-        return Observable(
-            name, "diag", diag=embed_diagonal(space, {spec["subsystem"]: diag}).real
-        )
+        return Observable(name, _spin_z(space, spec["subsystem"]))
     if kind == "position":
-        xs = position_diagonal(space.subsystem(spec["subsystem"]))
-        return Observable(
-            name, "diag",
-            diag=embed_diagonal(space, {spec["subsystem"]: xs.astype(complex)}).real,
-        )
+        return Observable(name, _position(space, spec["subsystem"]))
     if kind == "width":
-        sub = space.subsystem(spec["subsystem"])
-        xs = position_diagonal(sub)
-        x1 = embed_diagonal(space, {spec["subsystem"]: xs.astype(complex)}).real
-        x2 = embed_diagonal(space, {spec["subsystem"]: (xs**2).astype(complex)}).real
-        return Observable(name, "width", diag=x1, diag2=x2)
+        return Observable(name, _position(space, spec["subsystem"]), "width")
     if kind == "momentum":
-        return Observable(
-            name, "matrix", matrix=momentum_operator(space, spec["subsystem"]).matrix
-        )
+        return Observable(name, momentum_operator(space, spec["subsystem"]))
     if kind == "total_shift":
-        return Observable(
-            name, "matrix_complex", matrix=total_shift_generator(space).matrix
-        )
+        return Observable(name, total_shift_generator(space))
     raise ConfigError([f"observables: unknown kind {kind!r}"])
+
+
+def _spin_z(space: CompositeSpace, label: str) -> AssembledOperator:
+    sub = space.subsystem(label)
+    return diagonal_operator(space, label, np.diag(spin_z_matrix(sub.dim)))
+
+
+def _position(space: CompositeSpace, label: str) -> AssembledOperator:
+    return diagonal_operator(space, label, space.subsystem(label).positions())
 
 
 def realize_audits(
@@ -242,14 +235,9 @@ def realize_audits(
                 )
             )
         elif kind == "spin_z":
-            sub = space.subsystem(a["subsystem"])
-            diag = np.diag(spin_z_matrix(sub.dim)).astype(np.complex128)
-            mat = np.diag(embed_diagonal(space, {a["subsystem"]: diag}))
             out.append(
                 ConservedQuantity(
-                    a["name"],
-                    AssembledOperator(space, mat, hermitian=True),
-                    "spin_z",
+                    a["name"], _spin_z(space, a["subsystem"]), "spin_z",
                     subsystem=a["subsystem"],
                 )
             )
@@ -286,12 +274,11 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
     ]
     names = {o.name for o in observables}
 
-    qv_tracks: list[tuple[str, object]] = []
+    qv_tracks: list[str] = []
     quantities = realize_audits(config, space, hamiltonian)
     for q in quantities:
         if q.name not in names:
-            kind = "matrix_complex" if q.operator.unitary else "matrix"
-            observables.append(Observable(q.name, kind, matrix=q.operator.matrix))
+            observables.append(Observable(q.name, q.operator))
             names.add(q.name)
         if q.kind == "total_quasimomentum":
             for sub in space.subsystems:
@@ -299,14 +286,11 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
                     mname = f"{q.name}.{sub.label}"
                     if mname not in names:
                         observables.append(
-                            Observable(
-                                mname, "matrix_complex",
-                                matrix=single_shift_generator(space, sub.label).matrix,
-                            )
+                            Observable(mname, single_shift_generator(space, sub.label))
                         )
                         names.add(mname)
         if q.kind == "energy" and vhat is not None:
-            qv_tracks.append((q.name, hamiltonian.matrix))
+            qv_tracks.append(q.name)
 
     branches = tuple(
         Branch(b["label"], _branch_indices(space, b["subsystem"], b["sites"]))

@@ -158,7 +158,7 @@ def _ensemble_vs_oracle(space, h, v, psi0, n_traj, base_seed):
     plan = IntegrationPlan(dt=0.002, n_steps=500, seed=0, record_every=50)
     sc = make_realized(
         space, h, v, psi0, plan,
-        observables=[Observable("energy", "matrix", matrix=np.asarray(h))],
+        observables=[Observable("energy", cl.AssembledOperator(space, np.asarray(h)))],
     )
     stats, _ = run_ensemble(sc, n_traj, base_seed, record_density=True)
     rho0 = np.outer(sc.psi0.amplitudes, sc.psi0.amplitudes.conj())
@@ -239,7 +239,7 @@ def test_criterion_9_energy_audit_honesty():
         plan4 = IntegrationPlan(dt=1e-3, n_steps=2000, seed=0, record_every=5)
         sc4 = make_realized(
             space4, h4, v4, [0.6, 0.0, 0.8, 0.0], plan4,
-            observables=[Observable("energy", "matrix", matrix=h4)],
+            observables=[Observable("energy", cl.AssembledOperator(space4, h4))],
         )
         _, records = run_ensemble(sc4, 20, base_seed=91000, keep_records=True)
         for rec in records:

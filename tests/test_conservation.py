@@ -12,6 +12,7 @@ from collapse_lab.conservation import (
     audit_trajectory,
     classify_quantity,
     commutator_certificate,
+    family_threshold,
     total_shift_generator,
 )
 from collapse_lab.errors import AuditRefusal, OperatorError
@@ -251,7 +252,7 @@ class TestAuditEnsemble:
         plan = IntegrationPlan(dt=2e-3, n_steps=200, seed=0, record_every=50)
         sc = make_realized(
             qubit_space, SIGMA_X, SIGMA_Z, [0.6, 0.8], plan,
-            observables=[Observable("energy", "matrix", matrix=SIGMA_X)],
+            observables=[Observable("energy", AssembledOperator(qubit_space, SIGMA_X))],
         )
         _, records = run_ensemble(sc, 1500, base_seed=41, keep_records=True)
         q = ConservedQuantity(
@@ -264,7 +265,7 @@ class TestAuditEnsemble:
         plan = IntegrationPlan(dt=1e-3, n_steps=100, seed=0, record_every=50)
         sc = make_realized(
             qubit_space, None, SIGMA_Z, [0.6, 0.8], plan,
-            observables=[Observable("sz", "matrix", matrix=SIGMA_Z)],
+            observables=[Observable("sz", AssembledOperator(qubit_space, SIGMA_Z))],
         )
         _, records = run_ensemble(sc, 4, base_seed=7, keep_records=True)
         q = ConservedQuantity("sz", AssembledOperator(qubit_space, SIGMA_Z), "spin_z")
@@ -299,8 +300,8 @@ class TestUnitaryOnlyConservation:
         sc = make_realized(
             space, h.to_dense(), None, psi0.amplitudes, plan,
             observables=[
-                Observable("energy", "matrix", matrix=h.to_dense()),
-                Observable("sz", "matrix", matrix=sz_full.toarray()),
+                Observable("energy", AssembledOperator(space, h.to_dense())),
+                Observable("sz", AssembledOperator(space, sz_full.toarray())),
             ],
         )
         rec = run_trajectory(sc)
@@ -310,3 +311,44 @@ class TestUnitaryOnlyConservation:
         for name, scale in (("energy", h_scale), ("sz", 1.0)):
             drift = abs(rec.observables[name][-1] - rec.observables[name][0])
             assert drift <= 10.0 * max(truncation * scale, 1e-14)
+
+
+class TestFamilyThreshold:
+    def test_bonferroni_value(self):
+        from scipy.stats import norm
+
+        z = family_threshold(3.0, 50)
+        assert z == pytest.approx(4.0376, abs=1e-4)
+        assert norm.sf(z) == pytest.approx(norm.sf(3.0) / 50, rel=1e-9)
+        assert family_threshold(3.0, 1) == pytest.approx(3.0, abs=1e-12)
+
+    @staticmethod
+    def audit_offset(qubit_space, n_se):
+        """Four trajectories whose mean sits ``n_se`` standard errors off
+        the initial value at one of 50 checkpoints and on it elsewhere."""
+        plan = IntegrationPlan(dt=1e-3, n_steps=50, seed=0, record_every=1)
+        sc = make_realized(qubit_space, None, SIGMA_Z, [0.6, 0.8], plan)
+        sz0 = 0.6**2 - 0.8**2
+        eps = 0.01
+        se = eps / np.sqrt(3.0)  # std(ddof=1) of eps*[1,-1,1,-1] over sqrt(4)
+        records = []
+        for i, sign in enumerate([1, -1, 1, -1]):
+            series = np.full(plan.n_records, sz0)
+            series[20] += n_se * se + sign * eps
+            records.append(cl.TrajectoryRecord(
+                times=np.arange(plan.n_records) * plan.dt,
+                norms_pre_renorm=np.ones(plan.n_records),
+                observables={"sz": series}, branch_weights={}, entropy_series={},
+                final_state=None, seed=i, plan=plan,
+            ))
+        q = ConservedQuantity("sz", AssembledOperator(qubit_space, SIGMA_Z), "spin_z")
+        return audit_run(records, [q], sc).ensemble["martingale:sz"]
+
+    def test_single_excursion_within_family_threshold(self, qubit_space):
+        section = self.audit_offset(qubit_space, 3.5)
+        assert section["checkpoints"] == 50
+        assert section["z"] == pytest.approx(family_threshold(3.0, 50))
+        assert section["passed"]
+
+    def test_large_excursion_still_fails(self, qubit_space):
+        assert not self.audit_offset(qubit_space, 6.0)["passed"]

@@ -131,7 +131,7 @@ class TestRunEnsemble:
         plan = IntegrationPlan(dt=1e-3, n_steps=100, seed=0, record_every=20)
         sc = make_realized(
             qubit_space, h, None, [1.0, 0.0], plan,
-            observables=[Observable("sz", "matrix", matrix=SIGMA_Z)],
+            observables=[Observable("sz", AssembledOperator(qubit_space, SIGMA_Z))],
         )
         stats, _ = run_ensemble(sc, 8, base_seed=0)
         # identical trajectories; variance is zero up to one-pass cancellation
@@ -141,7 +141,7 @@ class TestRunEnsemble:
         plan = IntegrationPlan(dt=1e-3, n_steps=200, seed=0, record_every=40)
         sc = make_realized(
             qubit_space, None, SIGMA_Z, [0.6, 0.8], plan,
-            observables=[Observable("sz", "matrix", matrix=SIGMA_Z)],
+            observables=[Observable("sz", AssembledOperator(qubit_space, SIGMA_Z))],
         )
         stats1, recs = run_ensemble(sc, 6, base_seed=100, keep_records=True)
         assert [r.seed for r in recs] == [100 + i for i in range(6)]
@@ -259,7 +259,7 @@ class TestRunEnsemble:
         plan = IntegrationPlan(dt=2e-3, n_steps=250, seed=0, record_every=50)
         sc = make_realized(
             qubit_space, h, v, [0.6, 0.8], plan,
-            observables=[Observable("vhat", "matrix", matrix=SIGMA_Z)],
+            observables=[Observable("vhat", AssembledOperator(qubit_space, SIGMA_Z))],
         )
         stats, _ = run_ensemble(sc, 3000, base_seed=900)
         rho0 = np.outer(sc.psi0.amplitudes, sc.psi0.amplitudes.conj())
@@ -327,3 +327,57 @@ def test_real_noise_option(qubit_space):
     assert np.isfinite(rec.norms_pre_renorm).all()
     # martingale still holds with real increments
     assert abs(rec.norm_drift_mean) < 1e-2
+
+
+def short_collision(n_steps=20, record_every=10):
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["plan"].update({"n_steps": n_steps, "record_every": record_every})
+    return realize(from_dict(d))
+
+
+def test_one_hamiltonian_apply_per_step(monkeypatch):
+    sc = short_collision()
+    assert sc.qv_tracks == ("energy",)
+    h = sc.hamiltonian
+    calls = {"h": 0, "other": 0}
+    apply = AssembledOperator.apply
+
+    def spy(self, psi):
+        calls["h" if self is h else "other"] += 1
+        return apply(self, psi)
+
+    monkeypatch.setattr(AssembledOperator, "apply", spy)
+    rec = run_trajectory(sc, seed=3)
+    # H psi is computed once per step and shared by the update and the
+    # energy QV track; the records evaluate <H> through the observable
+    n_energy_records = sc.plan.n_records
+    assert calls["h"] == sc.plan.n_steps + n_energy_records
+    assert rec.qv_series["energy"][-1] > 0.0
+
+
+def test_qv_energy_matches_recomputation(two_qubit_space):
+    rng = np.random.default_rng(31)
+    h = np.asarray(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    h = 0.5 * (h + h.conj().T)
+    v = np.diag([0.9, -0.4, 0.3, -1.1]).astype(complex)
+    plan = IntegrationPlan(dt=1e-3, n_steps=60, seed=8, record_every=1)
+    sc = make_realized(two_qubit_space, h, v, [0.5, 0.5, 0.5, 0.5], plan,
+                       qv_tracks=("energy",))
+    rec = run_trajectory(sc, record_states=True)
+    qv = [0.0]
+    for psi in rec.states[:-1]:
+        vpsi = v @ psi
+        beta = vpsi - np.vdot(psi, vpsi).real * psi
+        c = np.vdot(h @ psi, beta)
+        qv.append(qv[-1] + 2.0 * abs(c) ** 2 * plan.dt)
+    assert qv[-1] > 0.0
+    assert np.allclose(rec.qv_series["energy"], qv, rtol=1e-12, atol=0.0)
+
+
+def test_noise_blocks_do_not_change_trajectories(monkeypatch):
+    sc = short_collision(n_steps=30, record_every=10)
+    whole = run_trajectory(sc, seed=4)
+    monkeypatch.setattr(integrator, "NOISE_BLOCK", 7)
+    blocked = run_trajectory(sc, seed=4)
+    assert np.array_equal(whole.final_state.amplitudes, blocked.final_state.amplitudes)
+    assert np.array_equal(whole.qv_series["energy"], blocked.qv_series["energy"])

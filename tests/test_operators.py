@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,3 +256,54 @@ def test_spin_coupling_matrix():
     # basis order (s, p); positions are -0.5, +0.5
     expected = 2.0 * np.kron(SIGMA_Z, np.diag([-0.5, 0.5]))
     assert np.allclose(h, expected)
+
+
+class TestApply:
+    """``apply`` maps a state or each row of a (batch, d) block."""
+
+    @staticmethod
+    def check_against_matrix(op, rng):
+        d = op.space.total_dim
+        mat = op.matrix
+        psi = random_state(rng, d)
+        assert np.allclose(op.apply(psi), mat @ psi, rtol=0.0, atol=1e-12)
+        block = np.array([random_state(rng, d) for _ in range(5)])
+        out = op.apply(block)
+        assert out.shape == block.shape
+        for row, state in zip(out, block):
+            assert np.allclose(row, mat @ state, rtol=0.0, atol=1e-12)
+
+    def test_diagonal(self):
+        rng = np.random.default_rng(21)
+        space = cl.CompositeSpace([cl.discrete("a", 6), cl.discrete("b", 5)])
+        diag = rng.standard_normal(30)
+        op = AssembledOperator(space, sp.diags_array(diag, format="csr"))
+        self.check_against_matrix(op, rng)
+        # non-Hermitian diagonal: complex entries
+        cdiag = diag + 1j * rng.standard_normal(30)
+        cop = AssembledOperator(space, sp.diags_array(cdiag, format="csr"),
+                                hermitian=False)
+        self.check_against_matrix(cop, rng)
+
+    def test_dense_small(self):
+        rng = np.random.default_rng(22)
+        space = cl.CompositeSpace([cl.discrete("a", 8)])
+        op = AssembledOperator(space, random_hermitian(rng, 8))
+        self.check_against_matrix(op, rng)
+
+    def test_sparse_large(self):
+        rng = np.random.default_rng(23)
+        space = cl.CompositeSpace([cl.discrete("a", 300)])
+        a = sp.random_array((300, 300), density=0.02, rng=rng, dtype=np.complex128)
+        op = AssembledOperator(space, (a + a.conj().T).tocsr())
+        self.check_against_matrix(op, rng)
+
+    def test_real_diagonal_is_bit_equal_to_dense_product(self):
+        rng = np.random.default_rng(24)
+        space = cl.CompositeSpace([cl.discrete("a", 40)])
+        diag = rng.standard_normal(40)
+        op = AssembledOperator(space, sp.diags_array(diag, format="csr"))
+        dense_t = np.ascontiguousarray(np.diag(diag).astype(complex).T)
+        block = np.array([random_state(rng, 40) for _ in range(4)])
+        assert np.array_equal(op.apply(block), block @ dense_t)
+        assert np.array_equal(op.apply(block[0]), np.diag(diag).astype(complex) @ block[0])

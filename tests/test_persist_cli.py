@@ -231,3 +231,73 @@ class TestCli:
         assert code == 0
         payload = json.loads((out / "trajectory_seed3.json").read_text())
         assert "observables" in payload and "sz" in payload["observables"]
+
+
+def _sha256(path) -> str:
+    import hashlib
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestContentHashes:
+    def test_manifest_records_hashes(self, tmp_path):
+        cfg = small_qnd_config()
+        rec = run_trajectory(realize(cfg), seed=9)
+        out = tmp_path / "run"
+        persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+        manifest = load_manifest(out)
+        assert manifest.schema_version == 2
+        assert set(manifest.artifacts) == {"trajectory_seed9.csv", "summary.json"}
+        for name, digest in manifest.artifacts.items():
+            assert digest == _sha256(out / name)
+        assert manifest.trajectories[0]["sha256"] == _sha256(out / "trajectory_seed9.csv")
+
+    def test_rerun_rewrites_damaged_artifact(self, tmp_path):
+        cfg = small_qnd_config()
+        rec = run_trajectory(realize(cfg), seed=9)
+        out = tmp_path / "run"
+        persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+        csv = out / "trajectory_seed9.csv"
+        original = csv.read_bytes()
+        csv.write_bytes(original[:-20])
+        persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+        assert csv.read_bytes() == original
+
+    def test_edited_csv_refused_by_audit(self, tmp_path):
+        d = builtin_scenario("two-particle-collision").to_dict()
+        d["plan"].update({"n_steps": 100, "record_every": 50})
+        cfg = from_dict(d)
+        out = tmp_path / "collision"
+        rec = run_trajectory(realize(cfg), seed=0)
+        persist_run([rec], build_manifest(cfg, [0], "trajectory"), out)
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
+        csv = out / "trajectory_seed0.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        col = lines[0].split(",").index("x1")
+        row = lines[-1].split(",")
+        row[col] = repr(float(row[col]) + 0.5)
+        lines[-1] = ",".join(row)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+
+    def test_branch_partition_checked_on_load(self, tmp_path):
+        cfg = small_qnd_config()
+        rec = run_trajectory(realize(cfg), seed=9)
+        out = tmp_path / "run"
+        persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+        meta = dict(load_manifest(out).trajectories[0])
+        csv = out / meta["file"]
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        col = lines[0].split(",").index("branch_up")
+        row = lines[2].split(",")
+        row[col] = repr(float(row[col]) + 0.01)
+        lines[2] = ",".join(row)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(PersistError, match="hash"):
+            load_trajectory_csv(csv, meta)
+        meta["sha256"] = _sha256(csv)  # a manifest that agrees with the edit
+        with pytest.raises(PersistError, match="branch weights"):
+            load_trajectory_csv(csv, meta)
+        del meta["sha256"]
+        with pytest.raises(PersistError, match="no content hash"):
+            load_trajectory_csv(csv, meta)

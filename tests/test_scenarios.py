@@ -131,4 +131,4 @@ def test_audit_series_added_automatically():
     assert "energy" in names
     assert "tshift" in names
     assert "tshift.particle" in names and "tshift.apparatus" in names
-    assert dict(sc.qv_tracks).keys() == {"energy"}
+    assert sc.qv_tracks == ("energy",)
