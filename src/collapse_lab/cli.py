@@ -23,7 +23,7 @@ from .config import ScenarioConfig, config_hash, load_config, serialize
 from .conservation import audit_run
 from .entanglement import two_branch_entropy_approx, two_branch_entropy_exact
 from .errors import AuditRefusal, CollapseLabError, ConfigError, PersistError
-from .integrator import run_ensemble, run_trajectory
+from .integrator import ensemble_seeds, run_ensemble, run_trajectory
 from .persist import (
     build_manifest,
     load_manifest,
@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     p_ens.add_argument("--n-traj", type=int, required=True)
     p_ens.add_argument("--seed", type=int, default=None, help="override base seed")
     p_ens.add_argument("--keep-trajectories", action="store_true",
-                       help="persist every trajectory CSV (needed for audits)")
+                       help="persist every trajectory (needed for audits)")
     add_common(p_ens)
     p_ens.set_defaults(func=_cmd_ensemble)
 
@@ -163,7 +163,7 @@ def _cmd_ensemble(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir(
         config, f"ens{base_seed}x{args.n_traj}"
     )
-    seeds = [base_seed + i for i in range(args.n_traj)]
+    seeds = ensemble_seeds(base_seed, args.n_traj)
     manifest = build_manifest(config, seeds, "ensemble")
     persist_run(records, manifest, out_dir, stats=stats, fmt=args.format)
     if not args.quiet:
@@ -270,8 +270,6 @@ def _cmd_audit(args) -> int:
         fpath = run_dir / meta["file"]
         if not fpath.exists():
             raise PersistError(f"missing trajectory artifact {fpath}")
-        if fpath.suffix != ".csv":
-            raise PersistError("audit requires CSV trajectory artifacts")
         records.append(load_trajectory_csv(fpath, meta))
     if not records:
         raise PersistError("run contains no stored trajectories to audit")

@@ -221,7 +221,7 @@ def renormalize(psi: StateVector | np.ndarray, space: CompositeSpace | None = No
     n = float(np.linalg.norm(amps))
     if not np.isfinite(n) or n == 0.0:
         raise StateError(f"cannot renormalize state with norm {n}")
-    return StateVector(space, amps / n)
+    return StateVector(space, amps * (1.0 / n))
 
 
 def make_product_state(

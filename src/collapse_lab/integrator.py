@@ -42,6 +42,7 @@ __all__ = [
     "ito_step",
     "run_trajectory",
     "run_ensemble",
+    "ensemble_seeds",
     "lindblad_oracle",
     "trace_distance",
     "check_stability",
@@ -238,7 +239,7 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
     nrm = np.sqrt(np.vecdot(new, new).real)
     if not np.all(np.isfinite(nrm)) or np.any(nrm == 0.0):
         raise NumericalError("state norm became non-finite during integration")
-    new /= nrm[:, None]
+    new *= (1.0 / nrm)[:, None]
     return new, nrm, beta, hpsi
 
 
@@ -318,6 +319,11 @@ def _ensure_realized(scenario) -> RealizedScenario:
     return realize(scenario)
 
 
+def ensemble_seeds(base_seed: int, n_traj: int) -> list[int]:
+    """Seeds of an ensemble's trajectories, in the order they are reduced."""
+    return [base_seed + i for i in range(n_traj)]
+
+
 def run_ensemble(
     scenario: "RealizedScenario | ScenarioConfig",
     n_traj: int,
@@ -328,10 +334,9 @@ def run_ensemble(
 ) -> tuple[EnsembleStats, list[TrajectoryRecord]]:
     """Run ``n_traj`` trajectories with seeds base_seed + index.
 
-    Trajectories run in lock-step chunks of at most ``BATCH_CHUNK``
-    trajectories and ``BATCH_AMPLITUDES`` amplitudes, and are reduced in
-    seed order, so results are reproducible.  Returns (stats, records);
-    ``records`` is empty unless ``keep_records``.
+    Trajectories run in lock-step chunks of at most ``BATCH_AMPLITUDES``
+    amplitudes and are reduced in seed order, so results are reproducible.
+    Returns (stats, records); ``records`` is empty unless ``keep_records``.
     """
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
@@ -342,10 +347,10 @@ def run_ensemble(
             "projectors of larger systems are not materialized"
         )
 
-    seeds = [base_seed + i for i in range(n_traj)]
+    seeds = ensemble_seeds(base_seed, n_traj)
     acc = _EnsembleAccumulator(sc, record_density)
     records: list[TrajectoryRecord] = []
-    chunk = max(1, min(BATCH_CHUNK, BATCH_AMPLITUDES // sc.space.total_dim))
+    chunk = max(1, BATCH_AMPLITUDES // sc.space.total_dim)
     for start in range(0, n_traj, chunk):
         for rec in _run_chunk_batched(sc, seeds[start:start + chunk], record_density):
             acc.add(rec)
@@ -354,14 +359,14 @@ def run_ensemble(
     return acc.finish(base_seed), records
 
 
-BATCH_CHUNK = 512
 # Blocks of states larger than this many amplitudes drop out of the CPU
 # caches; at d = 4096 a 512-trajectory chunk ran 1.75x slower per
-# trajectory-step than one trajectory at a time.
+# trajectory-step than one trajectory at a time.  At small d a step costs
+# per row, so the chunk grows to 8192 trajectories at d = 4.
 BATCH_AMPLITUDES = 1 << 15
-# Steps of noise drawn at once per trajectory: 4 MB for a 512-trajectory
-# chunk, where drawing the whole run at once took 41 MB on qnd-two-level.
-NOISE_BLOCK = 500
+# Noise increments drawn at once per chunk (4 MB of complex128); drawing
+# a whole qnd-two-level run at once took 41 MB for 512 trajectories.
+NOISE_INCREMENTS = 1 << 18
 
 
 def _run_chunk_batched(
@@ -372,8 +377,8 @@ def _run_chunk_batched(
     Each trajectory consumes its own generator stream, seeded by its seed,
     so a trajectory does not depend on the batch it runs in beyond
     rounding.  A single trajectory is a batch of one.  Increments are drawn
-    ``NOISE_BLOCK`` steps at a time; blocks of one stream give the same
-    values as one long draw.
+    ``NOISE_INCREMENTS // len(seeds)`` steps at a time; blocks of one
+    stream give the same values as one long draw.
     """
     plan = sc.plan
     check_stability(plan, sc.collapse_op)
@@ -382,16 +387,17 @@ def _run_chunk_batched(
     dt = plan.dt
     h, v = sc.hamiltonian, sc.collapse_op
     rngs = [np.random.default_rng(s) for s in seeds]
+    complex_noise = plan.noise_kind == "complex"
+    noise_block = max(1, NOISE_INCREMENTS // b)
 
     def draw_noise(n: int) -> np.ndarray:
-        noise = np.empty((b, n), dtype=np.complex128)
-        for i, rng in enumerate(rngs):
-            if plan.noise_kind == "complex":
-                w = rng.standard_normal(2 * n)
-                noise[i] = (w[0::2] + 1j * w[1::2]) * np.sqrt(dt / 2.0)
-            else:
-                noise[i] = rng.standard_normal(n) * np.sqrt(dt)
-        return noise
+        # a complex increment is (w[2k] + i w[2k+1]) sqrt(dt/2): the
+        # interleaved normals of the stream are its float64 view
+        w = np.empty((b, 2 * n if complex_noise else n))
+        for row, rng in zip(w, rngs):
+            rng.standard_normal(out=row)
+        w *= np.sqrt(dt / 2.0) if complex_noise else np.sqrt(dt)
+        return w.view(np.complex128) if complex_noise else w
 
     psi = np.tile(sc.psi0.amplitudes, (b, 1))
 
@@ -427,14 +433,17 @@ def _run_chunk_batched(
             states[:, idx, :] = psi
 
     def check_collapse(step: int):
-        open_mask = collapse_step < 0
-        if not np.any(open_mask):
+        # collapsed rows are not tested again; no copy while none has
+        rows = np.flatnonzero(collapse_step < 0)
+        if rows.size == 0:
             return
+        open_psi = psi if rows.size == b else psi[rows]
         for bi, br in enumerate(sc.branches):
-            hit = open_mask & (br.weights(psi) >= plan.collapse_threshold)
-            collapse_step[hit] = step
-            collapse_branch[hit] = bi
-            open_mask &= ~hit
+            hit = br.weights(open_psi) >= plan.collapse_threshold
+            if hit.any():
+                collapse_step[rows[hit]] = step
+                collapse_branch[rows[hit]] = bi
+                rows, open_psi = rows[~hit], open_psi[~hit]
 
     record(0, np.ones(b))
     check_collapse(0)
@@ -443,9 +452,9 @@ def _run_chunk_batched(
     for step in range(1, plan.n_steps + 1):
         dxi = None
         if v is not None:
-            if (step - 1) % NOISE_BLOCK == 0:
-                noise = draw_noise(min(NOISE_BLOCK, plan.n_steps - step + 1))
-            dxi = noise[:, (step - 1) % NOISE_BLOCK]
+            if (step - 1) % noise_block == 0:
+                noise = draw_noise(min(noise_block, plan.n_steps - step + 1))
+            dxi = noise[:, (step - 1) % noise_block]
         new, nrm, beta, hpsi = _step(psi, h, v, dt, dxi)
         if sc.qv_tracks and beta is not None and hpsi is not None:
             # quadratic variation of <H>, from the pre-step H psi and beta
@@ -468,19 +477,21 @@ def _run_chunk_batched(
         out.append(
             TrajectoryRecord(
                 times=times.copy(),
-                norms_pre_renorm=norms[i].copy(),
-                observables={k: a[i].copy() for k, a in obs.items()},
-                branch_weights={k: a[i].copy() for k, a in weights.items()},
-                entropy_series={k: a[i].copy() for k, a in entropies.items()},
-                final_state=StateVector(sc.space, psi[i].copy()),
+                # rows of the chunk's arrays: views, so that a chunk of
+                # thousands of trajectories is not held twice
+                norms_pre_renorm=norms[i],
+                observables={k: a[i] for k, a in obs.items()},
+                branch_weights={k: a[i] for k, a in weights.items()},
+                entropy_series={k: a[i] for k, a in entropies.items()},
+                final_state=StateVector(sc.space, psi[i]),
                 seed=seed,
                 plan=replace(plan, seed=seed),
                 collapsed_branch=cb,
                 collapse_step=cs,
                 norm_drift_mean=float(drift_sum[i]) / plan.n_steps,
                 norm_drift_count=plan.n_steps,
-                qv_series={k: a[i].copy() for k, a in qv.items()},
-                states=None if states is None else states[i].copy(),
+                qv_series={k: a[i] for k, a in qv.items()},
+                states=None if states is None else states[i],
             )
         )
     return out

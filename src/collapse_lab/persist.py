@@ -1,28 +1,44 @@
-"""Run persistence: trajectory CSVs, ensemble JSON, and run manifests.
+"""Run persistence: trajectory tables, ensemble JSON, and run manifests.
 
-The trajectory CSV schema is stable: header ``t,norm_pre,<columns...>``
-where complex observables split into ``name_re``/``name_im`` columns,
-branch weights appear as ``branch_<label>``, entropies as
-``entropy_<partition>``, and tracked quadratic variations as ``qv_<name>``.
-Floats are written with shortest round-trip repr, so identical (config,
-seed) runs produce byte-identical files on one platform.
+A trajectory is stored as a table with the stable columns
+``t,norm_pre,<columns...>``, where complex observables split into
+``name_re``/``name_im`` columns, branch weights appear as
+``branch_<label>``, entropies as ``entropy_<partition>``, and tracked
+quadratic variations as ``qv_<name>``.
 
-The manifest records the sha256 of every artifact, and
-:func:`load_trajectory_csv` refuses a file that does not match it.  Writes
-are idempotent per (config hash, seeds, content): re-persisting the same
-run over intact files is a no-op, damaged files of the same run are
+- A ``run`` writes ``trajectory_seed<seed>.csv`` with that header.  Floats
+  are written with shortest round-trip repr, so identical (config, seed)
+  runs produce byte-identical files on one platform.
+- An ensemble that keeps its trajectories writes them all to one
+  ``trajectories.npy``: a version 1.0 ``.npy`` array with one row per
+  trajectory in seed order, whose float64 fields are the columns, each
+  holding the series of one column.
+
+The manifest records the sha256 of every artifact.  For the ensemble
+array it also records each trajectory's row, the columns and the sha256
+of that row's bytes, so :func:`load_trajectory_csv` reads and checks one
+row without reading the rest of the file; it refuses content that does
+not match.  Every artifact is written to a temporary file in the run
+directory and moved into place, manifest last, so an interrupted write
+leaves no partial file under a final name and no manifest.  Writes are
+idempotent per (config hash, seeds, content): re-persisting the same run
+over intact files is a no-op, damaged files of the same run are
 rewritten, and a differing manifest at the same path is refused rather
 than overwritten.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import json
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,6 +57,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+ENSEMBLE_ARRAY = "trajectories.npy"
 
 
 @dataclass
@@ -55,7 +72,7 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
     created_at: str = ""
-    schema_version: int = 2
+    schema_version: int = 3
 
     def identity(self) -> dict:
         """Fields that define sameness; timestamps excluded."""
@@ -68,7 +85,7 @@ class RunManifest:
         }
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
@@ -103,7 +120,8 @@ def _fmt(value: float) -> str:
 
 
 def _columns(record: TrajectoryRecord) -> list[tuple[str, np.ndarray]]:
-    cols: list[tuple[str, np.ndarray]] = []
+    """(name, real series) of each column of a trajectory's table."""
+    cols = [("t", record.times), ("norm_pre", record.norms_pre_renorm)]
     for name, series in record.observables.items():
         if np.iscomplexobj(series):
             cols.append((f"{name}_re", series.real))
@@ -121,13 +139,29 @@ def _columns(record: TrajectoryRecord) -> list[tuple[str, np.ndarray]]:
 
 def trajectory_csv_text(record: TrajectoryRecord) -> str:
     cols = _columns(record)
-    header = "t,norm_pre" + "".join("," + name for name, _ in cols)
-    lines = [header]
+    lines = [",".join(name for name, _ in cols)]
     for i in range(len(record.times)):
-        row = [_fmt(record.times[i]), _fmt(record.norms_pre_renorm[i])]
-        row.extend(_fmt(series[i]) for _, series in cols)
-        lines.append(",".join(row))
+        lines.append(",".join(_fmt(series[i]) for _, series in cols))
     return "\n".join(lines) + "\n"
+
+
+def _write_trajectory_array(f, records: list[TrajectoryRecord]) -> list[str]:
+    """Write ``records`` to ``f`` as the ensemble array, one row at a time,
+    and return the sha256 of each row's bytes."""
+    names = [name for name, _ in _columns(records[0])]
+    n_rec = len(records[0].times)
+    dtype = np.dtype([(name, "<f8", (n_rec,)) for name in names])
+    np.lib.format.write_array_header_1_0(f, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": (len(records),),
+    })
+    row_hashes = []
+    for rec in records:
+        row = np.array([series for _, series in _columns(rec)], dtype="<f8").tobytes()
+        row_hashes.append(_sha256(row))
+        f.write(row)
+    return row_hashes
 
 
 def _series_out(arr):
@@ -221,28 +255,26 @@ def load_manifest(out_dir) -> RunManifest:
     return RunManifest.from_dict(raw)
 
 
-def _artifact_bytes(
-    records: list[TrajectoryRecord],
-    manifest: RunManifest,
-    stats: EnsembleStats | None,
-    fmt: str,
-) -> Iterator[tuple[str, bytes]]:
-    """(file name, content) of each artifact of a run, one at a time."""
-    for rec in records:
-        if fmt == "csv":
-            yield f"trajectory_seed{rec.seed}.csv", trajectory_csv_text(rec).encode("utf-8")
-        else:
-            yield f"trajectory_seed{rec.seed}.json", _json_bytes(_trajectory_json_dict(rec))
-    yield "summary.json", _json_bytes({
-        "schema_version": 1,
-        "config_hash": manifest.config_hash,
-        "runs": [_summary_dict(rec) for rec in records],
-    })
-    if stats is not None:
-        plan = records[0].plan if records else IntegrationPlan(
-            **manifest.config["plan"]
-        )
-        yield "ensemble.json", _json_bytes(ensemble_json_dict(stats, plan))
+def _trajectory_file(record: TrajectoryRecord, fmt: str) -> tuple[str, bytes]:
+    if fmt == "csv":
+        return (f"trajectory_seed{record.seed}.csv",
+                trajectory_csv_text(record).encode("utf-8"))
+    return f"trajectory_seed{record.seed}.json", _json_bytes(_trajectory_json_dict(record))
+
+
+class _HashingFile:
+    """Binary file wrapper that hashes everything written through it."""
+
+    def __init__(self, f):
+        self._f = f
+        self._hash = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self._hash.update(data)
+        return self._f.write(data)
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
 
 
 def persist_run(
@@ -256,10 +288,13 @@ def persist_run(
     """Write run artifacts under ``out_dir`` and return the file map.
 
     The manifest's ``artifacts`` and trajectory entries record each file's
-    sha256.  A re-run of the same run is a no-op when the files on disk
-    still match their hashes and rewrites them otherwise; a conflicting
-    manifest at the same path raises :class:`PersistError` instead of
-    overwriting anything.
+    sha256; the trajectories of an ensemble in ``fmt="csv"`` go to rows
+    of :data:`ENSEMBLE_ARRAY`, whose entries record their row, the columns
+    and the row's sha256.  Artifacts are staged in temporary files and
+    moved into place, manifest last.  A re-run of the same run is a no-op
+    when the files on disk still match their hashes and rewrites them
+    otherwise; a conflicting manifest at the same path raises
+    :class:`PersistError` instead of overwriting anything.
     """
     if fmt not in ("csv", "json"):
         raise PersistError(f"unknown format {fmt!r}")
@@ -268,75 +303,104 @@ def persist_run(
     manifest_path = out / MANIFEST_NAME
     existing = load_manifest(out) if manifest_path.exists() else None
 
+    staged: dict[str, Path] = {}
     hashes: dict[str, str] = {}
-    for name, data in _artifact_bytes(records, manifest, stats, fmt):
-        hashes[name] = _sha256(data)
-        if existing is None:
-            (out / name).write_bytes(data)
-    manifest.trajectories = [
-        {
-            "seed": rec.seed,
-            "file": name,  # trajectory files come first, in record order
-            "sha256": hashes[name],
-            "collapsed_branch": rec.collapsed_branch,
-            "collapse_step": rec.collapse_step,
-            "plan": asdict(rec.plan),
+
+    def stage(name: str, write: Callable):
+        """Write an artifact through ``write(file)`` to a new temporary file
+        in ``out`` and hash it; returns what ``write`` returned."""
+        fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.", suffix=".tmp")
+        staged[name] = Path(tmp)
+        with os.fdopen(fd, "wb") as f:
+            sink = _HashingFile(f)
+            result = write(sink)
+        hashes[name] = sink.hexdigest()
+        return result
+
+    try:
+        entries = [
+            {
+                "seed": rec.seed,
+                "collapsed_branch": rec.collapsed_branch,
+                "collapse_step": rec.collapse_step,
+                "plan": asdict(rec.plan),
+            }
+            for rec in records
+        ]
+        if records and fmt == "csv" and manifest.kind == "ensemble":
+            row_hashes = stage(ENSEMBLE_ARRAY,
+                               lambda f: _write_trajectory_array(f, records))
+            columns = [name for name, _ in _columns(records[0])]
+            for row, (entry, digest) in enumerate(zip(entries, row_hashes)):
+                entry.update(file=ENSEMBLE_ARRAY, row=row, columns=columns,
+                             sha256=digest)
+        else:
+            for entry, rec in zip(entries, records):
+                name, data = _trajectory_file(rec, fmt)
+                stage(name, lambda f: f.write(data))
+                entry.update(file=name, sha256=hashes[name])
+        summary = {
+            "schema_version": 1,
+            "config_hash": manifest.config_hash,
+            "runs": [_summary_dict(rec) for rec in records],
         }
-        for rec, name in zip(records, hashes)
-    ]
-    manifest.artifacts = hashes
-    paths = {name: str(out / name) for name in [*hashes, MANIFEST_NAME]}
-
-    if existing is not None:
-        if existing.identity() != manifest.identity():
-            raise PersistError(
-                f"{manifest_path} already holds a different run "
-                f"(hash {existing.config_hash[:12]} vs {manifest.config_hash[:12]}, "
-                f"schema {existing.schema_version} vs {manifest.schema_version}); "
-                "refusing to overwrite"
+        stage("summary.json", lambda f: f.write(_json_bytes(summary)))
+        if stats is not None:
+            plan = records[0].plan if records else IntegrationPlan(
+                **manifest.config["plan"]
             )
-        if all(_file_sha256(out / name) == h for name, h in hashes.items()):
-            return paths
-        for name, data in _artifact_bytes(records, manifest, stats, fmt):
-            (out / name).write_bytes(data)
+            stage("ensemble.json",
+                  lambda f: f.write(_json_bytes(ensemble_json_dict(stats, plan))))
+        manifest.trajectories = entries
+        manifest.artifacts = dict(hashes)
+        paths = {name: str(out / name) for name in [*hashes, MANIFEST_NAME]}
 
-    manifest_path.write_bytes(_json_bytes(manifest.to_dict()))
-    return paths
+        if existing is not None:
+            if existing.identity() != manifest.identity():
+                raise PersistError(
+                    f"{manifest_path} already holds a different run "
+                    f"(hash {existing.config_hash[:12]} vs {manifest.config_hash[:12]}, "
+                    f"schema {existing.schema_version} vs {manifest.schema_version}); "
+                    "refusing to overwrite"
+                )
+            if all(_file_sha256(out / name) == h for name, h in hashes.items()):
+                return paths
+        for name in list(staged):
+            os.replace(staged.pop(name), out / name)
+        stage(MANIFEST_NAME, lambda f: f.write(_json_bytes(manifest.to_dict())))
+        os.replace(staged.pop(MANIFEST_NAME), manifest_path)
+        return paths
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
 
 
 def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
-    """Rebuild a stored trajectory from its CSV plus manifest metadata.
+    """Rebuild a stored trajectory from its table plus manifest metadata.
 
-    The file must match the sha256 in ``meta``.  The record has no final
-    state; series-length and branch-partition failures are
-    :class:`PersistError`.
+    ``path`` is a trajectory CSV, or the ensemble array when ``meta``
+    names a ``row``, of which only the header and that row are read; any
+    other artifact is refused.  The CSV, or the row, must match the sha256
+    in ``meta``, and a row's fields must be the columns in ``meta``.  The
+    record has no final state; hash, record-count and branch-partition
+    failures are :class:`PersistError`.
     """
-    raw = Path(path).read_bytes()
+    path = Path(path)
     if "sha256" not in meta:
         raise PersistError(f"{path}: the manifest records no content hash")
-    if _sha256(raw) != meta["sha256"]:
-        raise PersistError(f"{path}: content does not match the manifest hash")
-    lines = raw.decode("utf-8").strip().split("\n")
-    if not lines or not lines[0].startswith("t,norm_pre"):
-        raise PersistError(f"{path}: not a trajectory CSV")
-    header = lines[0].split(",")
-    try:
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    except ValueError as exc:
-        raise PersistError(f"{path}: {exc}") from None
-    if any(len(row) != len(header) for row in rows):
-        raise PersistError(f"{path}: column count mismatch")
-    data = np.array(rows).reshape(len(rows), len(header))
     plan = IntegrationPlan(**meta["plan"])
-    if data.shape[0] != plan.n_records:
+    if "row" in meta:
+        by_name = _read_array_row(path, meta, plan)
+    elif path.suffix == ".csv":
+        by_name = _read_csv(path, meta, plan)
+    else:
         raise PersistError(
-            f"{path}: {data.shape[0]} rows, but the plan records {plan.n_records}"
+            f"{path}: not a trajectory CSV or ensemble array; audits need one"
         )
-    by_name = {name: data[:, i] for i, name in enumerate(header)}
 
     observables: dict[str, np.ndarray] = {}
     consumed = {"t", "norm_pre"}
-    for name in header:
+    for name in by_name:
         if name in consumed or name.startswith(("branch_", "entropy_", "qv_")):
             continue
         if name.endswith("_re") and name[:-3] + "_im" in by_name:
@@ -372,3 +436,76 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
         )
     except (DimensionError, NumericalError) as exc:
         raise PersistError(f"{path}: {exc}") from None
+
+
+def _read_csv(path: Path, meta: dict, plan: IntegrationPlan) -> dict[str, np.ndarray]:
+    raw = path.read_bytes()
+    if _sha256(raw) != meta["sha256"]:
+        raise PersistError(f"{path}: content does not match the manifest hash")
+    lines = raw.decode("utf-8").strip().split("\n")
+    if not lines or not lines[0].startswith("t,norm_pre"):
+        raise PersistError(f"{path}: not a trajectory CSV")
+    header = lines[0].split(",")
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
+    if any(len(row) != len(header) for row in rows):
+        raise PersistError(f"{path}: column count mismatch")
+    data = np.array(rows).reshape(len(rows), len(header))
+    if data.shape[0] != plan.n_records:
+        raise PersistError(
+            f"{path}: {data.shape[0]} rows, but the plan records {plan.n_records}"
+        )
+    return {name: data[:, i] for i, name in enumerate(header)}
+
+
+_NPY_PREFIX = 10  # magic string, version, and the length of a 1.0 header
+
+
+def _read_array_row(path: Path, meta: dict, plan: IntegrationPlan) -> dict[str, np.ndarray]:
+    """Columns of row ``meta["row"]`` of an ensemble array."""
+    with path.open("rb") as f:
+        prefix = f.read(_NPY_PREFIX)
+        if len(prefix) != _NPY_PREFIX or prefix[:-2] != np.lib.format.magic(1, 0):
+            raise PersistError(f"{path}: not a version 1.0 .npy file")
+        header = f.read(int.from_bytes(prefix[-2:], "little"))
+        try:
+            n_rows, names, n_values = _array_layout(header)
+        except ValueError as exc:
+            raise PersistError(f"{path}: {exc}") from None
+        if list(names) != meta.get("columns"):
+            raise PersistError(f"{path}: fields {names} are not the manifest's columns")
+        if n_values != plan.n_records:
+            raise PersistError(
+                f"{path}: {n_values} records, but the plan records {plan.n_records}"
+            )
+        row = meta["row"]
+        if not (isinstance(row, int) and 0 <= row < n_rows):
+            raise PersistError(f"{path}: row {row!r} is not among its {n_rows} rows")
+        size = 8 * len(names) * n_values
+        f.seek(row * size, os.SEEK_CUR)
+        data = bytearray(size)
+        if f.readinto(data) != size:
+            raise PersistError(f"{path}: truncated in row {row}")
+    if _sha256(data) != meta["sha256"]:
+        raise PersistError(f"{path}: row {row} does not match the manifest hash")
+    return dict(zip(names, np.frombuffer(data, "<f8").reshape(len(names), n_values)))
+
+
+@functools.lru_cache(maxsize=16)
+def _array_layout(header: bytes) -> tuple[int, tuple[str, ...], int]:
+    """(rows, field names, values per field) of an ensemble array, from the
+    text of its .npy 1.0 header.  Raises ValueError unless the array is a
+    1-D table whose fields are float64 series of one length.  Cached: every
+    row of an ensemble is read through the same header."""
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+        io.BytesIO(len(header).to_bytes(2, "little") + header)
+    )
+    names = dtype.names or ()
+    n_values = dtype.itemsize // (8 * len(names)) if names else 0
+    if fortran_order or len(shape) != 1 or not names or dtype != np.dtype(
+        [(name, "<f8", (n_values,)) for name in names]
+    ):
+        raise ValueError("not a table of float64 trajectory series")
+    return shape[0], names, n_values

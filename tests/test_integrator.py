@@ -15,6 +15,7 @@ from collapse_lab.integrator import (
     trace_distance,
 )
 from collapse_lab.operators import AssembledOperator
+from collapse_lab.persist import trajectory_csv_text
 from collapse_lab.scenarios import builtin_scenario, realize
 
 from conftest import SIGMA_X, SIGMA_Z, make_realized
@@ -176,7 +177,7 @@ class TestRunEnsemble:
             sc, plan=IntegrationPlan(dt=1e-3, n_steps=300, seed=0, record_every=50)
         )
         stats_one, _ = run_ensemble(sc, 6, base_seed=5)
-        monkeypatch.setattr(integrator, "BATCH_CHUNK", 2)
+        monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 2 * sc.space.total_dim)
         stats_chunked, recs = run_ensemble(sc, 6, base_seed=5, keep_records=True)
         assert [r.seed for r in recs] == [5 + i for i in range(6)]
         assert stats_chunked.outcome_counts == stats_one.outcome_counts
@@ -377,7 +378,27 @@ def test_qv_energy_matches_recomputation(two_qubit_space):
 def test_noise_blocks_do_not_change_trajectories(monkeypatch):
     sc = short_collision(n_steps=30, record_every=10)
     whole = run_trajectory(sc, seed=4)
-    monkeypatch.setattr(integrator, "NOISE_BLOCK", 7)
+    monkeypatch.setattr(integrator, "NOISE_INCREMENTS", 7)  # 7 steps per block
     blocked = run_trajectory(sc, seed=4)
     assert np.array_equal(whole.final_state.amplitudes, blocked.final_state.amplitudes)
     assert np.array_equal(whole.qv_series["energy"], blocked.qv_series["energy"])
+
+
+def test_chunking_keeps_collapsing_trajectories_bit_identical(monkeypatch):
+    # collapse is checked on the open rows only and noise is drawn in
+    # blocks sized by the chunk: neither may change a trajectory
+    d = builtin_scenario("qnd-two-level").to_dict()
+    d["plan"].update({"n_steps": 1500, "record_every": 100})
+    sc = realize(from_dict(d))
+
+    def run():
+        _, recs = run_ensemble(sc, 64, base_seed=3, keep_records=True)
+        return {r.seed: (trajectory_csv_text(r), r.collapse_step) for r in recs}
+
+    one_chunk = run()
+    assert sum(step is not None for _, step in one_chunk.values()) >= 16
+    monkeypatch.setattr(integrator, "NOISE_INCREMENTS", 64)  # one step per block
+    assert run() == one_chunk
+    monkeypatch.undo()
+    monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 3 * sc.space.total_dim)
+    assert run() == one_chunk

@@ -1,10 +1,13 @@
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import collapse_lab as cl
+from collapse_lab import persist
 from collapse_lab.cli import cli_run
 from collapse_lab.config import from_dict
 from collapse_lab.errors import PersistError
@@ -14,6 +17,7 @@ from collapse_lab.persist import (
     load_manifest,
     load_trajectory_csv,
     persist_run,
+    trajectory_csv_text,
 )
 from collapse_lab.scenarios import builtin_scenario, realize
 
@@ -182,15 +186,27 @@ class TestCli:
                         "--seed", "50", "--out-dir", str(out),
                         "--keep-trajectories", "--quiet"]) == 0
         meta = load_manifest(out).trajectories[1]
-        csv = out / meta["file"]
-        text = csv.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        # whole rows dropped, and the file cut off halfway
-        for cut in ("\n".join(lines[:-3]) + "\n", text[:len(text) // 2]):
-            csv.write_text(cut, encoding="utf-8")
+        array = out / meta["file"]
+        assert array.name == "trajectories.npy" and meta["row"] == 1
+        data = array.read_bytes()
+        row_bytes = (len(data) - _header_length(array)) // 4
+        # the last 3 whole rows dropped, and the file cut off halfway
+        for cut in (data[:len(data) - 3 * row_bytes], data[:len(data) // 2]):
+            array.write_bytes(cut)
             with pytest.raises(PersistError):
-                load_trajectory_csv(csv, meta)
+                load_trajectory_csv(array, meta)
             assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+
+    def test_json_run_audit_refused(self, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        out = tmp_path / "ensjson"
+        assert cli_run(["ensemble", "--config", str(cfg_path), "--n-traj", "3",
+                        "--format", "json", "--out-dir", str(out),
+                        "--keep-trajectories", "--quiet"]) == 0
+        meta = load_manifest(out).trajectories[0]
+        with pytest.raises(PersistError, match="not a trajectory CSV"):
+            load_trajectory_csv(out / meta["file"], meta)
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
 
     def test_audit_refusal_exit_three(self, tmp_path):
         d = builtin_scenario("qnd-two-level").to_dict()
@@ -239,6 +255,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _header_length(npy_path) -> int:
+    """Bytes before the first row of a stored ensemble array."""
+    with open(npy_path, "rb") as f:
+        np.lib.format.read_magic(f)
+        np.lib.format.read_array_header_1_0(f)
+        return f.tell()
+
+
 class TestContentHashes:
     def test_manifest_records_hashes(self, tmp_path):
         cfg = small_qnd_config()
@@ -246,7 +270,7 @@ class TestContentHashes:
         out = tmp_path / "run"
         persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
         manifest = load_manifest(out)
-        assert manifest.schema_version == 2
+        assert manifest.schema_version == 3
         assert set(manifest.artifacts) == {"trajectory_seed9.csv", "summary.json"}
         for name, digest in manifest.artifacts.items():
             assert digest == _sha256(out / name)
@@ -301,3 +325,121 @@ class TestContentHashes:
         del meta["sha256"]
         with pytest.raises(PersistError, match="no content hash"):
             load_trajectory_csv(csv, meta)
+
+
+def small_ensemble(tmp_path):
+    """A persisted 5-trajectory qnd ensemble: (config, records, run directory)."""
+    cfg = small_qnd_config()
+    stats, recs = cl.run_ensemble(realize(cfg), 5, 40, keep_records=True)
+    out = tmp_path / "ens"
+    persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"), out,
+                stats=stats)
+    return cfg, recs, out
+
+
+def _series(rec) -> dict:
+    out = {"t": rec.times, "norm_pre": rec.norms_pre_renorm}
+    for group, prefix in ((rec.observables, ""), (rec.branch_weights, "branch_"),
+                          (rec.entropy_series, "entropy_"), (rec.qv_series, "qv_")):
+        out.update({prefix + k: v for k, v in group.items()})
+    return out
+
+
+class TestEnsembleArray:
+    def test_one_array_round_trips_every_row(self, tmp_path):
+        _, recs, out = small_ensemble(tmp_path)
+        manifest = load_manifest(out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ensemble.json", "manifest.json", "summary.json", "trajectories.npy"]
+        assert manifest.artifacts["trajectories.npy"] == _sha256(out / "trajectories.npy")
+        array = np.load(out / "trajectories.npy")
+        assert array.shape == (5,)
+        for row, (rec, meta) in enumerate(zip(recs, manifest.trajectories)):
+            assert (meta["file"], meta["row"], meta["seed"]) == ("trajectories.npy", row,
+                                                                rec.seed)
+            assert list(array.dtype.names) == meta["columns"]
+            assert meta["sha256"] == hashlib.sha256(array[row].tobytes()).hexdigest()
+            stored = load_trajectory_csv(out / meta["file"], meta)
+            assert stored.collapse_step == rec.collapse_step
+            expected, got = _series(rec), _series(stored)
+            assert expected.keys() == got.keys()
+            for k in expected:
+                assert np.array_equal(expected[k], got[k]), k
+
+    def test_damaged_array_refused(self, tmp_path):
+        _, _, out = small_ensemble(tmp_path)
+        metas = load_manifest(out).trajectories
+        path = out / "trajectories.npy"
+        original = path.read_bytes()
+        start = _header_length(path)
+        row_bytes = (len(original) - start) // len(metas)
+
+        # one edited byte in row 2: rows other than 2 still load
+        edited = bytearray(original)
+        edited[start + 2 * row_bytes + 11] ^= 0x01
+        path.write_bytes(bytes(edited))
+        for meta in metas:
+            if meta["row"] == 2:
+                with pytest.raises(PersistError, match="hash"):
+                    load_trajectory_csv(path, meta)
+            else:
+                load_trajectory_csv(path, meta)
+
+        # a truncated file
+        path.write_bytes(original[:-1])
+        with pytest.raises(PersistError, match="truncated"):
+            load_trajectory_csv(path, metas[-1])
+
+        # a row past the shape
+        path.write_bytes(original)
+        with pytest.raises(PersistError, match="not among"):
+            load_trajectory_csv(path, {**metas[-1], "row": len(metas)})
+
+        # field names that differ from the manifest's columns, rows intact
+        assert original.count(b"'sz'") == 1
+        path.write_bytes(original.replace(b"'sz'", b"'sx'"))
+        load_trajectory_csv(path, {**metas[0], "columns": [
+            "sx" if c == "sz" else c for c in metas[0]["columns"]]})
+        with pytest.raises(PersistError, match="columns"):
+            load_trajectory_csv(path, metas[0])
+
+    def test_schema_2_csv_directory_still_audits(self, tmp_path):
+        # the layout written before the ensemble array: one CSV per trajectory
+        cfg = small_qnd_config()
+        _, recs = cl.run_ensemble(realize(cfg), 20, 50, keep_records=True)
+        out = tmp_path / "schema2"
+        out.mkdir()
+        manifest = build_manifest(cfg, [r.seed for r in recs], "ensemble")
+        manifest.schema_version = 2
+        for rec in recs:
+            name = f"trajectory_seed{rec.seed}.csv"
+            (out / name).write_text(trajectory_csv_text(rec), encoding="utf-8")
+            manifest.artifacts[name] = _sha256(out / name)
+            manifest.trajectories.append({
+                "seed": rec.seed, "file": name, "sha256": manifest.artifacts[name],
+                "collapsed_branch": rec.collapsed_branch,
+                "collapse_step": rec.collapse_step, "plan": asdict(rec.plan),
+            })
+        (out / "manifest.json").write_text(json.dumps(manifest.to_dict()))
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
+        assert json.loads((out / "audit.json").read_text())["passed"] is True
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        cfg = small_qnd_config()
+        stats, recs = cl.run_ensemble(realize(cfg), 20, 60, keep_records=True)
+        out = tmp_path / "ens"
+
+        def fail(payload):  # the first JSON artifact comes after the array
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persist, "_json_bytes", fail)
+        with pytest.raises(OSError, match="disk full"):
+            persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"),
+                        out, stats=stats)
+        assert list(out.iterdir()) == []
+        monkeypatch.undo()
+        persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"), out,
+                    stats=stats)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ensemble.json", "manifest.json", "summary.json", "trajectories.npy"]
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
