@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, config_hash, load_config, serialize
+from .config import ScenarioConfig, config_hash, from_dict, load_config, serialize
 from .conservation import audit_run
 from .entanglement import two_branch_entropy_approx, two_branch_entropy_exact
 from .errors import AuditRefusal, CollapseLabError, ConfigError, PersistError
@@ -35,7 +35,6 @@ from .scenarios import (
     builtin_names,
     builtin_scenario,
     realize,
-    realize_audits,
 )
 from .wavepacket import (
     PacketParams,
@@ -256,13 +255,8 @@ def _cmd_entropy(args) -> int:
 def _cmd_audit(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = load_manifest(run_dir)
-    from .config import from_dict
-
-    config = from_dict(manifest.config)
-    scenario = realize(config)
-    quantities = realize_audits(config, scenario.space, scenario.hamiltonian
-                                if scenario.hamiltonian is not None
-                                else _zero_op(scenario))
+    scenario = realize(from_dict(manifest.config))
+    quantities = scenario.quantities
     if not quantities:
         raise ConfigError(["config declares no audits; nothing to certify"])
     records = []
@@ -279,16 +273,6 @@ def _cmd_audit(args) -> int:
     if not args.quiet:
         print(report.text_summary())
     return 0 if report.passed else 3
-
-
-def _zero_op(scenario):
-    from .operators import AssembledOperator
-    import scipy.sparse as sp
-
-    n = scenario.space.total_dim
-    return AssembledOperator(
-        scenario.space, sp.csr_array((n, n), dtype=complex), hermitian=True
-    )
 
 
 def _cmd_scenario_list(args) -> int:

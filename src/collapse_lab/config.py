@@ -1,60 +1,33 @@
 """Declarative scenario configuration: parsing, validation, canonical hashing.
 
-Configs are JSON documents.  Validation is strict (unknown keys are
-rejected by name) and exhaustive: all problems are collected and reported
-together in a :class:`ConfigError` instead of stopping at the first.
-Loading normalizes the document (defaults filled, amplitudes as [re, im]
-pairs), so ``serialize(load(x))`` is canonical and the content hash is
-stable across key order.
+Configs are JSON documents.  Each section is read by a key table that
+gives every key a rule and a default (or marks it required or optional);
+one walker applies the tables, so this module is the only place that
+knows a default or a value rule.  Validation is strict (unknown keys are
+rejected by name, numbers must be finite) and exhaustive: all problems
+are collected and reported together in a :class:`ConfigError` instead of
+stopping at the first.  Loading normalizes the document (defaults
+filled, amplitudes as [re, im] pairs), so ``serialize(load(x))`` is
+canonical and the content hash is stable across key order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
-from .errors import ConfigError
-from .integrator import IntegrationPlan
+from .errors import ConfigError, OperatorError
+from .hilbert import SubsystemSpec
+from .integrator import DEFAULT_COLLAPSE_THRESHOLD, IntegrationPlan
 from .operators import pair_potential_from_config
 
 __all__ = ["ScenarioConfig", "load_config", "from_dict", "serialize", "config_hash"]
 
 SCHEMA_VERSION = 1
-
-_SUBSYSTEM_KEYS = {"label", "kind", "dim", "mass", "grid_spacing", "periodic", "x_min"}
-_TERM_KEYS = {
-    "kinetic": {"type", "subsystem", "mass"},
-    "external_potential": {"type", "subsystem", "samples"},
-    "interaction": {"type", "subsystem_i", "subsystem_j", "potential"},
-    "spin_coupling": {"type", "spin_subsystem", "pointer_subsystem", "strength"},
-}
-_PLAN_KEYS = {"dt", "n_steps", "seed", "noise_kind", "record_every", "collapse_threshold"}
-_OBS_KINDS = {
-    "energy",
-    "collapse_potential",
-    "spin_z",
-    "position",
-    "width",
-    "momentum",
-    "total_shift",
-}
-_OBS_NEED_SUBSYSTEM = {"spin_z", "position", "width", "momentum"}
-_AUDIT_KINDS = {"energy", "total_quasimomentum", "spin_z", "custom"}
-_TOP_KEYS = {
-    "schema_version",
-    "name",
-    "space",
-    "operators",
-    "collapse",
-    "initial_state",
-    "plan",
-    "observables",
-    "branches",
-    "bipartitions",
-    "audits",
-}
 
 
 @dataclass(frozen=True)
@@ -62,8 +35,11 @@ class ScenarioConfig:
     """Validated, normalized scenario description.
 
     Sections are stored as plain normalized dicts/tuples so the config can
-    be hashed, serialized, and shipped to worker processes untouched;
-    operator and state construction happens in the scenarios module.
+    be hashed and serialized untouched; every default is already filled
+    in, and keys left out of the canonical form (``x_min``, kinetic
+    ``mass``, ``mirror_width``, ``shift_sector``) are absent rather than
+    null.  Operator and state construction happens in the scenarios
+    module.  Only :func:`from_dict` constructs one.
     """
 
     schema_version: int
@@ -98,7 +74,7 @@ class ScenarioConfig:
 
     @property
     def collapse_enabled(self) -> bool:
-        return bool(self.collapse.get("enabled", False))
+        return self.collapse["enabled"]
 
     @property
     def has_external_potential(self) -> bool:
@@ -141,65 +117,429 @@ def config_hash(config: ScenarioConfig) -> str:
 
 
 # --------------------------------------------------------------------------
-# validation
+# value rules: each returns the canonical value or raises _Invalid
+# --------------------------------------------------------------------------
+
+class _Invalid(Exception):
+    """A value broke its key's rule; the message is reported under its path."""
+
+
+def _number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise _Invalid(f"expected a number, got {type(v).__name__}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise _Invalid(f"expected a finite number, got {v!r}")
+    return x
+
+
+def _positive(v) -> float:
+    x = _number(v)
+    if not x > 0:
+        raise _Invalid("must be > 0")
+    return x
+
+
+def _fraction(v) -> float:
+    x = _number(v)
+    if not 0.0 <= x <= 1.0:
+        raise _Invalid("expected a number in [0, 1]")
+    return x
+
+
+def _integer(low=None):
+    def rule(v) -> int:
+        x = _number(v)
+        if x != int(x):
+            raise _Invalid("expected an integer")
+        if low is not None and x < low:
+            raise _Invalid(f"must be >= {low}")
+        return int(v)
+    return rule
+
+
+def _boolean(v) -> bool:
+    if not isinstance(v, bool):
+        raise _Invalid(f"expected true or false, got {v!r}")
+    return v
+
+
+def _string(v) -> str:
+    if not isinstance(v, str):
+        raise _Invalid(f"expected a string, got {type(v).__name__}")
+    return v
+
+
+def _name(v) -> str:
+    if not (isinstance(v, str) and v):
+        raise _Invalid("expected a non-empty string")
+    return v
+
+
+def _enum(*choices):
+    def rule(v):
+        if isinstance(v, bool) or v not in choices:
+            raise _Invalid(f"expected one of {list(choices)}, got {v!r}")
+        return v
+    return rule
+
+
+def _mapping(v) -> Mapping:
+    if not isinstance(v, Mapping):
+        raise _Invalid("expected an object")
+    return v
+
+
+def _numbers(v) -> list[float]:
+    if not isinstance(v, list):
+        raise _Invalid("expected a list of numbers")
+    return [_number(x) for x in v]
+
+
+def _amplitudes(v) -> list[list[float]]:
+    """Numbers or [re, im] pairs, normalized to pairs."""
+    if not isinstance(v, list):
+        raise _Invalid("expected an amplitude array")
+    pairs = [x if isinstance(x, list) and len(x) == 2 else [x, 0.0] for x in v]
+    return [[_number(re), _number(im)] for re, im in pairs]
+
+
+def _sites(v) -> list[int]:
+    if not (isinstance(v, list) and v
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in v)):
+        raise _Invalid("expected a non-empty list of integers")
+    return sorted(v)
+
+
+def _potential(v) -> dict:
+    """A pair-potential family and its parameters, checked by building it."""
+    if not isinstance(v, Mapping) or not isinstance(v.get("family"), str):
+        raise _Invalid("expected an object with a 'family'")
+    params = {k: p for k, p in v.items() if k != "family"}
+    for p in params.values():
+        if isinstance(p, list):
+            _numbers(p)
+        else:
+            _number(p)
+    try:
+        pair_potential_from_config(v["family"], params)
+    except (OperatorError, TypeError) as exc:
+        raise _Invalid(str(exc)) from None
+    return _deep_copy(dict(v))
+
+
+@dataclass(frozen=True)
+class _Label:
+    """Reference to a declared subsystem, of one of ``kinds`` if given."""
+
+    kinds: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """An object whose ``tag`` key selects its key table from ``tables``."""
+
+    tag: str
+    tables: dict
+
+
+@dataclass(frozen=True)
+class _Items:
+    """A list whose every item follows ``rule``."""
+
+    rule: Any
+    nonempty: bool = False
+
+
+# --------------------------------------------------------------------------
+# key tables: key -> (rule, default | REQUIRED | OPTIONAL)
+# --------------------------------------------------------------------------
+# A nested dict is the key table of a nested object.  A default is a raw
+# value and is read through the key's rule like a given one.  OPTIONAL keys
+# stay out of the canonical form when unset; their default is the
+# signature of the domain type that consumes them.
+
+REQUIRED = object()
+OPTIONAL = object()
+
+_SUBSYSTEM = {
+    "label": (_name, REQUIRED),
+    "dim": (_integer(1), REQUIRED),
+    "mass": (_positive, 1.0),
+}
+_SUBSYSTEMS = {
+    "lattice1d": {
+        **_SUBSYSTEM,
+        "grid_spacing": (_positive, REQUIRED),
+        "periodic": (_boolean, False),
+        "x_min": (_number, OPTIONAL),
+    },
+    "spin": _SUBSYSTEM,
+    "discrete": _SUBSYSTEM,
+}
+
+_SPACE = {"subsystems": (_Items(_Variant("kind", _SUBSYSTEMS), nonempty=True), REQUIRED)}
+
+_TERMS = _Variant("type", {
+    "kinetic": {
+        "subsystem": (_Label(("lattice1d",)), REQUIRED),
+        "mass": (_positive, OPTIONAL),
+    },
+    "external_potential": {
+        "subsystem": (_Label(), REQUIRED),
+        "samples": (_numbers, REQUIRED),
+    },
+    "interaction": {
+        "subsystem_i": (_Label(("lattice1d",)), REQUIRED),
+        "subsystem_j": (_Label(("lattice1d",)), REQUIRED),
+        "potential": (_potential, REQUIRED),
+    },
+    "spin_coupling": {
+        "spin_subsystem": (_Label(("spin",)), REQUIRED),
+        "pointer_subsystem": (_Label(("lattice1d",)), REQUIRED),
+        "strength": (_number, REQUIRED),
+    },
+})
+
+_GAUSSIAN_FACTOR = {
+    "gaussian": ({
+        "center": (_number, 0.0),
+        "width": (_positive, 1.0),
+        "momentum": (_number, 0.0),
+    }, REQUIRED),
+}
+
+_NAMED = {"name": (_name, REQUIRED)}
+_ON_SPIN = {**_NAMED, "subsystem": (_Label(("spin",)), REQUIRED)}
+_ON_LATTICE = {**_NAMED, "subsystem": (_Label(("lattice1d",)), REQUIRED)}
+
+_TOP = {
+    "schema_version": (_enum(SCHEMA_VERSION), SCHEMA_VERSION),
+    "name": (_string, ""),
+    "space": (_mapping, REQUIRED),  # read first, by _SPACE: the labels live there
+    "operators": ({"terms": (_Items(_TERMS), [])}, {}),
+    # An absent section means disabled; a present one means enabled unless
+    # it says otherwise.
+    "collapse": ({
+        "enabled": (_boolean, True),
+        "c_scale": (_positive, 1.0),
+        "tau0": (_positive, 1.0),
+    }, {"enabled": False}),
+    "initial_state": (_Variant("kind", {
+        "product": {
+            "factors": (_mapping, REQUIRED),
+            "shift_sector": (_integer(), OPTIONAL),
+        },
+        "two_branch": {
+            "delta": (_fraction, REQUIRED),
+            "model": (_enum("two-mode", "displaced-gaussian"), "two-mode"),
+            "branch_subsystem": (_Label(), REQUIRED),
+            "mirror_subsystem": (_Label(), REQUIRED),
+            "mirror_width": (_positive, OPTIONAL),
+        },
+    }), REQUIRED),
+    "plan": ({
+        "dt": (_positive, REQUIRED),
+        "n_steps": (_integer(1), REQUIRED),
+        "seed": (_integer(0), 0),
+        "noise_kind": (_enum("complex", "real"), "complex"),
+        "record_every": (_integer(1), 1),
+        "collapse_threshold": (_number, DEFAULT_COLLAPSE_THRESHOLD),
+    }, REQUIRED),
+    "observables": (_Items(_Variant("kind", {
+        "energy": _NAMED,
+        "collapse_potential": _NAMED,
+        "total_shift": _NAMED,
+        "spin_z": _ON_SPIN,
+        "position": _ON_LATTICE,
+        "width": _ON_LATTICE,
+        "momentum": _ON_LATTICE,
+    })), []),
+    "branches": (_Items({
+        "label": (_name, REQUIRED),
+        "subsystem": (_Label(), REQUIRED),
+        "sites": (_sites, REQUIRED),
+    }), []),
+    "bipartitions": (_Items(_Items(_Label(), nonempty=True)), []),
+    "audits": (_Items(_Variant("kind", {
+        "energy": _NAMED,
+        "total_quasimomentum": _NAMED,
+        "spin_z": _ON_SPIN,
+        "custom": {**_NAMED, "terms": (_Items(_TERMS), REQUIRED)},
+    })), []),
+}
+
+
+# --------------------------------------------------------------------------
+# the walker
 # --------------------------------------------------------------------------
 
 class _Check:
+    """Reads values by their rules and collects every error with its path.
+
+    An object whose reading reported an error reads as None, so relational
+    checks only ever see objects whose every value passed its rule.
+    """
+
     def __init__(self):
         self.errors: list[str] = []
+        self.failures = 0
+        self.subsystems: dict[str, dict] = {}  # label -> entry, once space is read
 
-    def err(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}")
+    def err(self, path: str, msg: str, *, fails: bool = True):
+        self.errors.append(f"{path or 'top level'}: {msg}")
+        self.failures += fails
 
-    def unknown_keys(self, d: Mapping, allowed: set, path: str):
-        for key in d:
-            if key not in allowed:
-                self.err(path, f"unknown key {key!r}")
+    def value(self, v, path: str, rule):
+        """The canonical value, or None if reading it reported an error.
 
-    def require(self, d: Mapping, key: str, path: str) -> bool:
-        if key not in d:
-            self.err(path, f"missing required key {key!r}")
-            return False
-        return True
-
-    def number(self, d: Mapping, key: str, path: str, *, positive=False,
-               default=None, integer=False):
-        if key not in d:
-            return default
-        val = d[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.err(f"{path}.{key}", f"expected a number, got {type(val).__name__}")
-            return default
-        if integer and int(val) != val:
-            self.err(f"{path}.{key}", "expected an integer")
-            return default
-        if positive and not val > 0:
-            self.err(f"{path}.{key}", "must be > 0")
-            return default
-        return int(val) if integer else float(val)
-
-
-def _norm_amplitude_list(raw, dim, path, chk) -> list | None:
-    if not isinstance(raw, list):
-        chk.err(path, "expected an amplitude array")
-        return None
-    out = []
-    for i, entry in enumerate(raw):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            out.append([float(entry), 0.0])
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
-            out.append([float(entry[0]), float(entry[1])])
+        A list keeps its good items, with None in place of each bad one.
+        """
+        before = self.failures
+        if type(rule) is _Items:
+            return self.items(v, path, rule)
+        out = None
+        if type(rule) is dict:
+            out = self.object(v, path, rule)
+        elif type(rule) is _Variant:
+            out = self.variant(v, path, rule)
+        elif type(rule) is _Label:
+            out = self.label(v, path, rule.kinds)
         else:
-            chk.err(f"{path}[{i}]", "expected a number or [re, im] pair")
+            try:
+                out = rule(v)
+            except _Invalid as exc:
+                self.err(path, str(exc))
+        return out if self.failures == before else None
+
+    def object(self, raw, path: str, keys: dict, tag: str | None = None) -> dict | None:
+        if not isinstance(raw, Mapping):
+            self.err(path, "expected an object")
             return None
-    if dim is not None and len(out) != dim:
-        chk.err(path, f"expected {dim} amplitudes, got {len(out)}")
-        return None
+        for key in raw:
+            if key not in keys and key != tag:
+                # reported, but the known keys of the object still hold
+                self.err(path, f"unknown key {key!r}", fails=False)
+        entry = {}
+        for key, (rule, default) in keys.items():
+            sub = f"{path}.{key}" if path else key
+            if key in raw:
+                entry[key] = self.value(raw[key], sub, rule)
+            elif default is REQUIRED:
+                self.err(path, f"missing required key {key!r}")
+            elif default is not OPTIONAL:
+                entry[key] = self.value(default, sub, rule)
+        return entry
+
+    def variant(self, raw, path: str, rule: _Variant) -> dict | None:
+        if not isinstance(raw, Mapping):
+            self.err(path, "expected an object")
+            return None
+        kind = raw.get(rule.tag)
+        if not (isinstance(kind, str) and kind in rule.tables):
+            self.err(f"{path}.{rule.tag}", f"expected one of {sorted(rule.tables)}, "
+                     f"got {kind!r}")
+            return None
+        return {rule.tag: kind, **self.object(raw, path, rule.tables[kind], rule.tag)}
+
+    def items(self, raw, path: str, rule: _Items) -> list | None:
+        if not isinstance(raw, list) or (rule.nonempty and not raw):
+            self.err(path, "expected a non-empty list" if rule.nonempty else "expected a list")
+            return None
+        return [self.value(v, f"{path}[{i}]", rule.rule) for i, v in enumerate(raw)]
+
+    def label(self, v, path: str, kinds) -> str | None:
+        sub = self.subsystems.get(v) if isinstance(v, str) else None
+        if sub is None:
+            self.err(path, f"unknown subsystem {v!r}")
+        elif kinds and sub["kind"] not in kinds:
+            self.err(path, f"subsystem {v!r} has kind {sub['kind']}, "
+                     f"expected one of {sorted(kinds)}")
+        return v
+
+
+# --------------------------------------------------------------------------
+# relational rules
+# --------------------------------------------------------------------------
+
+def _check_terms(chk: _Check, terms, path: str) -> None:
+    for i, t in enumerate(terms):
+        if t is None:
+            continue
+        if t["type"] == "external_potential":
+            dim = chk.subsystems[t["subsystem"]]["dim"]
+            if len(t["samples"]) != dim:
+                chk.err(f"{path}[{i}].samples", f"expected {dim} samples")
+        elif t["type"] == "interaction" and t["subsystem_i"] == t["subsystem_j"]:
+            chk.err(f"{path}[{i}]", "interaction needs two distinct subsystems")
+        elif (t["type"] == "spin_coupling"
+              and chk.subsystems[t["spin_subsystem"]]["dim"] != 2):
+            chk.err(f"{path}[{i}]", "spin_coupling spin subsystem must have dim 2")
+
+
+def _read_factors(chk: _Check, factors: Mapping) -> dict:
+    """Per-label factors: an amplitude array, or a Gaussian on a lattice."""
+    subs = chk.subsystems
+    unknown = sorted(set(factors) - set(subs))
+    missing = sorted(set(subs) - set(factors))
+    if unknown:
+        chk.err("initial_state.factors", f"unknown subsystem(s) {unknown}")
+    if missing:
+        chk.err("initial_state.factors", f"missing factors for {missing}")
+    out = {}
+    for lbl in [lbl for lbl in factors if lbl in subs]:
+        path = f"initial_state.factors.{lbl}"
+        fac = factors[lbl]
+        if not isinstance(fac, Mapping):
+            out[lbl] = chk.value(fac, path, _amplitudes)
+            if out[lbl] is not None and len(out[lbl]) != subs[lbl]["dim"]:
+                chk.err(path, f"expected {subs[lbl]['dim']} amplitudes, got {len(out[lbl])}")
+        elif subs[lbl]["kind"] != "lattice1d":
+            chk.err(path, "gaussian factors need a lattice subsystem")
+        else:
+            out[lbl] = chk.value(fac, path, _GAUSSIAN_FACTOR)
     return out
+
+
+def _check_branches(chk: _Check, branches: list) -> None:
+    on = None
+    covered: set[int] = set()
+    for i, b in enumerate(branches):
+        if b is None:
+            continue
+        path = f"branches[{i}]"
+        on = on or b["subsystem"]
+        dim = chk.subsystems[on]["dim"]
+        bad = [s for s in b["sites"] if not 0 <= s < dim]
+        overlap = covered & set(b["sites"])
+        if b["subsystem"] != on:
+            chk.err(path, "all branches must live on the same subsystem")
+        elif bad:
+            chk.err(f"{path}.sites", f"site indices {bad} outside [0, {dim})")
+        elif overlap:
+            chk.err(f"{path}.sites",
+                    f"sites {sorted(overlap)} already used by another branch")
+        else:
+            covered |= set(b["sites"])
+    if on is not None and covered != set(range(chk.subsystems[on]["dim"])):
+        chk.err("branches", f"branch sites must partition all "
+                f"{chk.subsystems[on]['dim']} basis states of {on!r} so weights "
+                "sum to 1")
+    labels = [b["label"] for b in branches if b is not None]
+    if len(set(labels)) != len(labels):
+        chk.err("branches", "duplicate branch labels")
+
+
+def _check_unique_names(chk: _Check, entries: list, section: str) -> None:
+    seen: set[str] = set()
+    for i, e in enumerate(entries):
+        if e is not None and e["name"] in seen:
+            chk.err(f"{section}[{i}]", f"duplicate name {e['name']!r}")
+        elif e is not None:
+            seen.add(e["name"])
 
 
 def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
@@ -207,483 +547,90 @@ def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
 
     Raises :class:`ConfigError` carrying the complete list of problems.
     """
-    chk = _Check()
     if not isinstance(raw, Mapping):
         raise ConfigError(["top level: expected a JSON object"])
-    chk.unknown_keys(raw, _TOP_KEYS, "top level")
+    chk = _Check()
 
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        chk.err("schema_version", f"unsupported version {version!r}")
-    name = raw.get("name", "")
-    if not isinstance(name, str):
-        chk.err("name", "expected a string")
-        name = ""
+    # The space is read first: every other section refers to its labels.
+    space = chk.object(raw["space"], "space", _SPACE) if isinstance(
+        raw.get("space"), Mapping) else {}
+    subsystems = []
+    for i, s in enumerate(space.get("subsystems") or []):
+        if s is None:
+            continue
+        try:
+            SubsystemSpec(**s)
+        except ValueError as exc:
+            chk.err(f"space.subsystems[{i}]", str(exc))
+            continue
+        if s["label"] in chk.subsystems:
+            chk.err(f"space.subsystems[{i}]", f"duplicate subsystem label {s['label']!r}")
+            continue
+        chk.subsystems[s["label"]] = s
+        subsystems.append(s)
+    top = chk.object(raw, "", _TOP)
 
-    # ---- space ----
-    subsystems: list[dict] = []
-    sub_by_label: dict[str, dict] = {}
-    if chk.require(raw, "space", "top level") and isinstance(raw["space"], Mapping):
-        space_raw = raw["space"]
-        chk.unknown_keys(space_raw, {"subsystems"}, "space")
-        subs_raw = space_raw.get("subsystems")
-        if not isinstance(subs_raw, list) or not subs_raw:
-            chk.err("space.subsystems", "expected a non-empty list")
-            subs_raw = []
-        for i, s in enumerate(subs_raw):
-            path = f"space.subsystems[{i}]"
-            if not isinstance(s, Mapping):
-                chk.err(path, "expected an object")
-                continue
-            chk.unknown_keys(s, _SUBSYSTEM_KEYS, path)
-            label = s.get("label")
-            kind = s.get("kind")
-            if not isinstance(label, str) or not label:
-                chk.err(path, "missing or invalid 'label'")
-                continue
-            if kind not in ("lattice1d", "spin", "discrete"):
-                chk.err(path, f"kind must be lattice1d/spin/discrete, got {kind!r}")
-                continue
-            dim = chk.number(s, "dim", path, positive=True, integer=True)
-            if dim is None:
-                chk.err(path, "missing positive integer 'dim'")
-                continue
-            entry = {
-                "label": label,
-                "kind": kind,
-                "dim": dim,
-                "mass": chk.number(s, "mass", path, positive=True, default=1.0),
-            }
-            if kind == "lattice1d":
-                if dim < 2:
-                    chk.err(path, "lattice dim must be >= 2")
-                spacing = chk.number(s, "grid_spacing", path, positive=True)
-                if spacing is None:
-                    chk.err(path, "lattice needs grid_spacing > 0")
-                entry["grid_spacing"] = spacing
-                entry["periodic"] = bool(s.get("periodic", False))
-                if "x_min" in s:
-                    entry["x_min"] = chk.number(s, "x_min", path)
-            else:
-                for forbidden in ("grid_spacing", "periodic", "x_min"):
-                    if forbidden in s:
-                        chk.err(path, f"{forbidden!r} only valid for lattices")
-            if label in sub_by_label:
-                chk.err(path, f"duplicate subsystem label {label!r}")
-            else:
-                sub_by_label[label] = entry
-                subsystems.append(entry)
-    labels = set(sub_by_label)
+    terms = (top.get("operators") or {}).get("terms") or []
+    _check_terms(chk, terms, "operators.terms")
+    for i, a in enumerate(top.get("audits") or []):
+        if a is not None and a["kind"] == "custom":
+            _check_terms(chk, a["terms"], f"audits[{i}].terms")
 
-    def check_label(value, path, kinds=None) -> bool:
-        if value not in labels:
-            chk.err(path, f"unknown subsystem {value!r}")
-            return False
-        if kinds and sub_by_label[value]["kind"] not in kinds:
-            chk.err(
-                path,
-                f"subsystem {value!r} has kind {sub_by_label[value]['kind']}, "
-                f"expected one of {sorted(kinds)}",
-            )
-            return False
-        return True
+    lattices = [s for s in subsystems if s["kind"] == "lattice1d"]
+    all_periodic = bool(lattices) and all(s["periodic"] for s in lattices)
+    init = top.get("initial_state")
+    if init is not None and init["kind"] == "product":
+        init["factors"] = _read_factors(chk, init["factors"])
+        if "shift_sector" in init and not (
+                all_periodic and len({s["dim"] for s in lattices}) == 1):
+            chk.err("initial_state.shift_sector", "sector projection needs periodic "
+                    "lattice subsystems of one site count")
+    if (init is not None and init["kind"] == "two_branch"
+            and init["model"] == "displaced-gaussian"
+            and chk.subsystems[init["mirror_subsystem"]]["kind"] != "lattice1d"):
+        chk.err("initial_state.mirror_subsystem",
+                "displaced-gaussian needs a lattice mirror subsystem")
 
-    # ---- operators ----
-    def validate_terms(terms_raw, base_path: str) -> list[dict]:
-        terms: list[dict] = []
-        if not isinstance(terms_raw, list):
-            chk.err(base_path, "expected a list of terms")
-            return terms
-        for i, t in enumerate(terms_raw):
-            path = f"{base_path}[{i}]"
-            if not isinstance(t, Mapping):
-                chk.err(path, "expected an object")
-                continue
-            ttype = t.get("type")
-            if ttype not in _TERM_KEYS:
-                chk.err(path, f"unknown term type {ttype!r}")
-                continue
-            chk.unknown_keys(t, _TERM_KEYS[ttype], path)
-            entry: dict[str, Any] = {"type": ttype}
-            if ttype == "kinetic":
-                if chk.require(t, "subsystem", path) and check_label(
-                    t["subsystem"], f"{path}.subsystem", {"lattice1d"}
-                ):
-                    entry["subsystem"] = t["subsystem"]
-                    if "mass" in t:
-                        entry["mass"] = chk.number(t, "mass", path, positive=True)
-                    terms.append(entry)
-            elif ttype == "external_potential":
-                ok = chk.require(t, "subsystem", path) and check_label(
-                    t["subsystem"], f"{path}.subsystem"
-                )
-                samples = t.get("samples")
-                if not isinstance(samples, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in samples
-                ):
-                    chk.err(f"{path}.samples", "expected a list of numbers")
-                    ok = False
-                elif ok and len(samples) != sub_by_label[t["subsystem"]]["dim"]:
-                    chk.err(
-                        f"{path}.samples",
-                        f"expected {sub_by_label[t['subsystem']]['dim']} samples",
-                    )
-                    ok = False
-                if ok:
-                    entry["subsystem"] = t["subsystem"]
-                    entry["samples"] = [float(v) for v in samples]
-                    terms.append(entry)
-            elif ttype == "interaction":
-                ok = True
-                for key in ("subsystem_i", "subsystem_j"):
-                    ok = chk.require(t, key, path) and check_label(
-                        t.get(key), f"{path}.{key}", {"lattice1d"}
-                    ) and ok
-                if ok and t["subsystem_i"] == t["subsystem_j"]:
-                    chk.err(path, "interaction needs two distinct subsystems")
-                    ok = False
-                pot = t.get("potential")
-                if not isinstance(pot, Mapping) or "family" not in pot:
-                    chk.err(f"{path}.potential", "expected an object with a 'family'")
-                    ok = False
-                else:
-                    family = pot["family"]
-                    params = {k: v for k, v in pot.items() if k != "family"}
-                    try:
-                        pair_potential_from_config(family, params)
-                    except Exception as exc:
-                        chk.err(f"{path}.potential", str(exc))
-                        ok = False
-                if ok:
-                    entry["subsystem_i"] = t["subsystem_i"]
-                    entry["subsystem_j"] = t["subsystem_j"]
-                    entry["potential"] = _deep_copy(dict(pot))
-                    terms.append(entry)
-            elif ttype == "spin_coupling":
-                ok = chk.require(t, "spin_subsystem", path) and check_label(
-                    t.get("spin_subsystem"), f"{path}.spin_subsystem", {"spin"}
-                )
-                ok = chk.require(t, "pointer_subsystem", path) and check_label(
-                    t.get("pointer_subsystem"), f"{path}.pointer_subsystem", {"lattice1d"}
-                ) and ok
-                strength = chk.number(t, "strength", path)
-                if strength is None:
-                    chk.err(path, "missing numeric 'strength'")
-                    ok = False
-                if ok:
-                    if sub_by_label[t["spin_subsystem"]]["dim"] != 2:
-                        chk.err(path, "spin_coupling spin subsystem must have dim 2")
-                    else:
-                        entry["spin_subsystem"] = t["spin_subsystem"]
-                        entry["pointer_subsystem"] = t["pointer_subsystem"]
-                        entry["strength"] = strength
-                        terms.append(entry)
-        return terms
+    if top.get("plan") is not None:
+        try:
+            IntegrationPlan(**top["plan"])
+        except ValueError as exc:
+            chk.err("plan", str(exc))
 
-    ops_raw = raw.get("operators", {"terms": []})
-    if not isinstance(ops_raw, Mapping):
-        chk.err("operators", "expected an object")
-        ops_raw = {"terms": []}
-    chk.unknown_keys(ops_raw, {"terms"}, "operators")
-    operators = {"terms": validate_terms(ops_raw.get("terms", []), "operators.terms")}
+    observables = top.get("observables") or []
+    _check_unique_names(chk, observables, "observables")
+    collapse = top.get("collapse")
+    for i, o in enumerate(observables):
+        if (o is not None and o["kind"] == "collapse_potential"
+                and collapse is not None and not collapse["enabled"]):
+            chk.err(f"observables[{i}]", f"{o['name']!r} needs collapse enabled")
 
-    # ---- collapse ----
-    collapse_raw = raw.get("collapse", {"enabled": False})
-    collapse = {"enabled": False, "c_scale": 1.0, "tau0": 1.0}
-    if not isinstance(collapse_raw, Mapping):
-        chk.err("collapse", "expected an object")
-    else:
-        chk.unknown_keys(collapse_raw, {"enabled", "c_scale", "tau0"}, "collapse")
-        collapse["enabled"] = bool(collapse_raw.get("enabled", True))
-        collapse["c_scale"] = chk.number(
-            collapse_raw, "c_scale", "collapse", positive=True, default=1.0
-        )
-        collapse["tau0"] = chk.number(
-            collapse_raw, "tau0", "collapse", positive=True, default=1.0
-        )
+    _check_branches(chk, top.get("branches") or [])
 
-    # ---- initial state ----
-    init: dict[str, Any] = {}
-    if chk.require(raw, "initial_state", "top level") and isinstance(
-        raw["initial_state"], Mapping
-    ):
-        init_raw = raw["initial_state"]
-        kind = init_raw.get("kind")
-        if kind == "product":
-            chk.unknown_keys(init_raw, {"kind", "factors", "shift_sector"}, "initial_state")
-            init["kind"] = "product"
-            factors_raw = init_raw.get("factors")
-            factors: dict[str, Any] = {}
-            if not isinstance(factors_raw, Mapping):
-                chk.err("initial_state.factors", "expected an object of per-label factors")
-            else:
-                for lbl in factors_raw:
-                    if lbl not in labels:
-                        chk.err("initial_state.factors", f"unknown subsystem {lbl!r}")
-                missing = labels - set(factors_raw)
-                if missing:
-                    chk.err(
-                        "initial_state.factors",
-                        f"missing factors for {sorted(missing)}",
-                    )
-                for lbl, fac in factors_raw.items():
-                    if lbl not in labels:
-                        continue
-                    path = f"initial_state.factors.{lbl}"
-                    dim = sub_by_label[lbl]["dim"]
-                    if isinstance(fac, Mapping):
-                        chk.unknown_keys(fac, {"gaussian"}, path)
-                        g = fac.get("gaussian")
-                        if not isinstance(g, Mapping):
-                            chk.err(path, "expected an amplitude array or {'gaussian': {...}}")
-                            continue
-                        if sub_by_label[lbl]["kind"] != "lattice1d":
-                            chk.err(path, "gaussian factors need a lattice subsystem")
-                            continue
-                        chk.unknown_keys(g, {"center", "width", "momentum"}, f"{path}.gaussian")
-                        factors[lbl] = {
-                            "gaussian": {
-                                "center": chk.number(g, "center", f"{path}.gaussian", default=0.0),
-                                "width": chk.number(
-                                    g, "width", f"{path}.gaussian", positive=True, default=1.0
-                                ),
-                                "momentum": chk.number(
-                                    g, "momentum", f"{path}.gaussian", default=0.0
-                                ),
-                            }
-                        }
-                    else:
-                        arr = _norm_amplitude_list(fac, dim, path, chk)
-                        if arr is not None:
-                            factors[lbl] = arr
-            init["factors"] = factors
-            if "shift_sector" in init_raw:
-                sector = chk.number({"shift_sector": init_raw["shift_sector"]},
-                                    "shift_sector", "initial_state", integer=True)
-                lattices = [s for s in subsystems if s["kind"] == "lattice1d"]
-                if not lattices or not all(s.get("periodic") for s in lattices):
-                    chk.err(
-                        "initial_state.shift_sector",
-                        "sector projection needs periodic lattice subsystems",
-                    )
-                init["shift_sector"] = sector
-        elif kind == "two_branch":
-            chk.unknown_keys(
-                init_raw,
-                {"kind", "delta", "model", "branch_subsystem", "mirror_subsystem",
-                 "mirror_width"},
-                "initial_state",
-            )
-            init["kind"] = "two_branch"
-            delta = chk.number(init_raw, "delta", "initial_state")
-            if delta is None or not (0.0 <= delta <= 1.0):
-                chk.err("initial_state.delta", "expected delta in [0, 1]")
-            init["delta"] = delta
-            model = init_raw.get("model", "two-mode")
-            if model not in ("two-mode", "displaced-gaussian"):
-                chk.err("initial_state.model", f"unknown mirror model {model!r}")
-            init["model"] = model
-            for key, kinds in (
-                ("branch_subsystem", None),
-                ("mirror_subsystem",
-                 {"lattice1d"} if model == "displaced-gaussian" else None),
-            ):
-                if chk.require(init_raw, key, "initial_state"):
-                    check_label(init_raw[key], f"initial_state.{key}", kinds)
-                    init[key] = init_raw[key]
-            if "mirror_width" in init_raw:
-                init["mirror_width"] = chk.number(
-                    init_raw, "mirror_width", "initial_state", positive=True
-                )
-        else:
-            chk.err("initial_state.kind", f"expected 'product' or 'two_branch', got {kind!r}")
+    for i, side in enumerate(top.get("bipartitions") or []):
+        if side is not None and None not in side and len(set(side)) == len(subsystems):
+            chk.err(f"bipartitions[{i}]",
+                    "bipartition side must be a strict subset of subsystems")
 
-    # ---- plan ----
-    plan: dict[str, Any] = {}
-    if chk.require(raw, "plan", "top level") and isinstance(raw["plan"], Mapping):
-        plan_raw = raw["plan"]
-        chk.unknown_keys(plan_raw, _PLAN_KEYS, "plan")
-        plan = {
-            "dt": chk.number(plan_raw, "dt", "plan", positive=True),
-            "n_steps": chk.number(plan_raw, "n_steps", "plan", positive=True, integer=True),
-            "seed": chk.number(plan_raw, "seed", "plan", integer=True, default=0),
-            "noise_kind": plan_raw.get("noise_kind", "complex"),
-            "record_every": chk.number(
-                plan_raw, "record_every", "plan", positive=True, integer=True, default=1
-            ),
-            "collapse_threshold": chk.number(
-                plan_raw, "collapse_threshold", "plan", default=1.0 - 1e-6
-            ),
-        }
-        if plan["dt"] is not None and plan["n_steps"] is not None:
-            try:
-                IntegrationPlan(**plan)
-            except (ValueError, TypeError) as exc:
-                chk.err("plan", str(exc))
-
-    # ---- observables ----
-    observables: list[dict] = []
-    seen_names: set[str] = set()
-    for i, o in enumerate(raw.get("observables", [])):
-        path = f"observables[{i}]"
-        if not isinstance(o, Mapping):
-            chk.err(path, "expected an object")
-            continue
-        chk.unknown_keys(o, {"name", "kind", "subsystem"}, path)
-        oname = o.get("name")
-        okind = o.get("kind")
-        if not isinstance(oname, str) or not oname:
-            chk.err(path, "missing observable 'name'")
-            continue
-        if oname in seen_names:
-            chk.err(path, f"duplicate observable name {oname!r}")
-            continue
-        if okind not in _OBS_KINDS:
-            chk.err(path, f"unknown observable kind {okind!r}")
-            continue
-        entry = {"name": oname, "kind": okind}
-        if okind in _OBS_NEED_SUBSYSTEM:
-            if not chk.require(o, "subsystem", path):
-                continue
-            kinds = {"spin_z": {"spin"}, "position": {"lattice1d"},
-                     "width": {"lattice1d"}, "momentum": {"lattice1d"}}[okind]
-            if not check_label(o["subsystem"], f"{path}.subsystem", kinds):
-                continue
-            entry["subsystem"] = o["subsystem"]
-        elif "subsystem" in o:
-            chk.err(path, f"kind {okind!r} takes no subsystem")
-            continue
-        seen_names.add(oname)
-        observables.append(entry)
-
-    # ---- branches ----
-    branches: list[dict] = []
-    branch_subsystem: str | None = None
-    covered: set[int] = set()
-    for i, b in enumerate(raw.get("branches", [])):
-        path = f"branches[{i}]"
-        if not isinstance(b, Mapping):
-            chk.err(path, "expected an object")
-            continue
-        chk.unknown_keys(b, {"label", "subsystem", "sites"}, path)
-        blabel = b.get("label")
-        if not isinstance(blabel, str) or not blabel:
-            chk.err(path, "missing branch 'label'")
-            continue
-        if not chk.require(b, "subsystem", path) or not check_label(
-            b["subsystem"], f"{path}.subsystem"
-        ):
-            continue
-        if branch_subsystem is None:
-            branch_subsystem = b["subsystem"]
-        elif b["subsystem"] != branch_subsystem:
-            chk.err(path, "all branches must live on the same subsystem")
-            continue
-        sites = b.get("sites")
-        dim = sub_by_label[b["subsystem"]]["dim"]
-        if (
-            not isinstance(sites, list)
-            or not sites
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in sites)
-        ):
-            chk.err(f"{path}.sites", "expected a non-empty list of integers")
-            continue
-        bad = [v for v in sites if not (0 <= v < dim)]
-        if bad:
-            chk.err(f"{path}.sites", f"site indices {bad} outside [0, {dim})")
-            continue
-        overlap = covered & set(sites)
-        if overlap:
-            chk.err(f"{path}.sites", f"sites {sorted(overlap)} already used by another branch")
-            continue
-        covered |= set(sites)
-        branches.append({"label": blabel, "subsystem": b["subsystem"], "sites": sorted(sites)})
-    if branches and branch_subsystem is not None:
-        dim = sub_by_label[branch_subsystem]["dim"]
-        if covered != set(range(dim)):
-            chk.err(
-                "branches",
-                f"branch sites must partition all {dim} basis states of "
-                f"{branch_subsystem!r} so weights sum to 1",
-            )
-    labels_of_branches = [b["label"] for b in branches]
-    if len(set(labels_of_branches)) != len(labels_of_branches):
-        chk.err("branches", "duplicate branch labels")
-
-    # ---- bipartitions ----
-    bipartitions: list[tuple[str, ...]] = []
-    for i, part in enumerate(raw.get("bipartitions", [])):
-        path = f"bipartitions[{i}]"
-        if not isinstance(part, list) or not part:
-            chk.err(path, "expected a non-empty list of subsystem labels")
-            continue
-        side = []
-        ok = True
-        for lbl in part:
-            if lbl not in labels:
-                chk.err(path, f"unknown subsystem {lbl!r}")
-                ok = False
-            else:
-                side.append(lbl)
-        if ok and len(set(side)) == len(labels):
-            chk.err(path, "bipartition side must be a strict subset of subsystems")
-            ok = False
-        if ok:
-            bipartitions.append(tuple(sorted(set(side))))
-
-    # ---- audits ----
-    audits: list[dict] = []
-    audit_names: set[str] = set()
-    for i, a in enumerate(raw.get("audits", [])):
-        path = f"audits[{i}]"
-        if not isinstance(a, Mapping):
-            chk.err(path, "expected an object")
-            continue
-        chk.unknown_keys(a, {"name", "kind", "subsystem", "terms"}, path)
-        aname = a.get("name")
-        akind = a.get("kind")
-        if not isinstance(aname, str) or not aname:
-            chk.err(path, "missing audit 'name'")
-            continue
-        if aname in audit_names:
-            chk.err(path, f"duplicate audit name {aname!r}")
-            continue
-        if akind not in _AUDIT_KINDS:
-            chk.err(path, f"unknown audit kind {akind!r}")
-            continue
-        entry = {"name": aname, "kind": akind}
-        if akind == "spin_z":
-            if not chk.require(a, "subsystem", path) or not check_label(
-                a["subsystem"], f"{path}.subsystem", {"spin"}
-            ):
-                continue
-            entry["subsystem"] = a["subsystem"]
-        elif akind == "total_quasimomentum":
-            lattices = [s for s in subsystems if s["kind"] == "lattice1d"]
-            if not lattices or not all(s.get("periodic") for s in lattices):
-                chk.err(path, "total_quasimomentum needs all-periodic lattice subsystems")
-                continue
-        elif akind == "custom":
-            if not chk.require(a, "terms", path):
-                continue
-            entry["terms"] = validate_terms(a["terms"], f"{path}.terms")
-        audit_names.add(aname)
-        audits.append(entry)
+    audits = top.get("audits") or []
+    _check_unique_names(chk, audits, "audits")
+    for i, a in enumerate(audits):
+        if a is not None and a["kind"] == "total_quasimomentum" and not all_periodic:
+            chk.err(f"audits[{i}]", "total_quasimomentum needs all-periodic lattice "
+                    "subsystems")
 
     if chk.errors:
         raise ConfigError(chk.errors)
-
     return ScenarioConfig(
         schema_version=SCHEMA_VERSION,
-        name=name,
+        name=top["name"],
         space={"subsystems": subsystems},
-        operators=operators,
+        operators=top["operators"],
         collapse=collapse,
         initial_state=init,
-        plan=plan,
+        plan=top["plan"],
         observables=tuple(observables),
-        branches=tuple(branches),
-        bipartitions=tuple(bipartitions),
+        branches=tuple(top["branches"]),
+        bipartitions=tuple(tuple(sorted(set(side))) for side in top["bipartitions"]),
         audits=tuple(audits),
     )

@@ -31,6 +31,7 @@ from .operators import AssembledOperator, _prep_matrix
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
+    from .conservation import ConservedQuantity
 
 __all__ = [
     "IntegrationPlan",
@@ -155,6 +156,7 @@ class RealizedScenario:
     branches: tuple[Branch, ...] = ()
     bipartitions: tuple[Bipartition, ...] = ()
     qv_tracks: tuple[str, ...] = ()  # names recording the QV of <H>
+    quantities: tuple["ConservedQuantity", ...] = ()  # the config's audits
     config: "ScenarioConfig | None" = None
 
 

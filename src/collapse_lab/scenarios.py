@@ -28,6 +28,7 @@ free-packet
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -73,68 +74,42 @@ __all__ = [
 
 
 def build_space(config: ScenarioConfig) -> CompositeSpace:
-    subs = []
-    for s in config.space["subsystems"]:
-        subs.append(
-            SubsystemSpec(
-                label=s["label"],
-                kind=s["kind"],
-                dim=s["dim"],
-                mass=s.get("mass", 1.0),
-                grid_spacing=s.get("grid_spacing"),
-                periodic=bool(s.get("periodic", False)),
-                x_min=s.get("x_min"),
-            )
-        )
-    return CompositeSpace(subs)
+    return CompositeSpace(SubsystemSpec(**s) for s in config.space["subsystems"])
+
+
+_TERM_TYPES = {
+    "kinetic": KineticTerm,
+    "external_potential": ExternalPotentialTerm,
+    "interaction": InteractionTerm,
+    "spin_coupling": SpinCouplingTerm,
+}
 
 
 def build_operator_spec(terms: list[dict]) -> OperatorSpec:
     out = []
     for t in terms:
-        ttype = t["type"]
-        if ttype == "kinetic":
-            out.append(KineticTerm(t["subsystem"], t.get("mass")))
-        elif ttype == "external_potential":
-            out.append(ExternalPotentialTerm(t["subsystem"], t["samples"]))
-        elif ttype == "interaction":
-            pot = dict(t["potential"])
-            family = pot.pop("family")
-            out.append(
-                InteractionTerm(
-                    t["subsystem_i"], t["subsystem_j"],
-                    pair_potential_from_config(family, pot),
-                )
-            )
-        elif ttype == "spin_coupling":
-            out.append(
-                SpinCouplingTerm(
-                    t["spin_subsystem"], t["pointer_subsystem"], t["strength"]
-                )
-            )
-        else:
-            raise ConfigError([f"operators.terms: unknown term type {ttype!r}"])
+        args = {k: v for k, v in t.items() if k != "type"}
+        if t["type"] == "interaction":
+            params = dict(args["potential"])
+            args["potential"] = pair_potential_from_config(params.pop("family"), params)
+        out.append(_TERM_TYPES[t["type"]](**args))
     return OperatorSpec(out)
 
 
 def _factor_array(space: CompositeSpace, label: str, fac) -> np.ndarray:
-    if isinstance(fac, dict) and "gaussian" in fac:
-        g = fac["gaussian"]
-        return gaussian_packet(
-            space, label,
-            center=g.get("center", 0.0),
-            width=g.get("width", 1.0),
-            momentum=g.get("momentum", 0.0),
-        )
-    arr = np.asarray([complex(re, im) for re, im in fac], dtype=np.complex128)
-    return arr
+    if isinstance(fac, dict):
+        return gaussian_packet(space, label, **fac["gaussian"])
+    return np.asarray([complex(re, im) for re, im in fac], dtype=np.complex128)
 
 
 def project_shift_sector(psi: StateVector, sector: int) -> StateVector:
     """Project onto the eigenspace of the simultaneous one-site shift.
 
     The shift eigenvalue of sector k is exp(-2 pi i k / d); all periodic
-    lattice subsystems must share the site count d.
+    lattice subsystems must share the site count d.  In the discrete
+    Fourier basis of the lattice axes the shift is diagonal, with
+    eigenvalue exp(-2 pi i (k_1 + ... + k_n) / d), so the projection keeps
+    the components with k_1 + ... + k_n = sector (mod d).
     """
     space = psi.space
     lattice_axes = [i for i, s in enumerate(space.subsystems) if s.is_lattice]
@@ -144,15 +119,13 @@ def project_shift_sector(psi: StateVector, sector: int) -> StateVector:
     d = dims[lattice_axes[0]]
     if any(dims[ax] != d for ax in lattice_axes):
         raise StateError("sector projection needs equal lattice dimensions")
-    tensor = psi.reshaped()
-    acc = np.zeros_like(tensor)
-    for s in range(d):
-        shifted = tensor
-        for ax in lattice_axes:
-            shifted = np.roll(shifted, s, axis=ax)
-        acc = acc + np.exp(2j * np.pi * sector * s / d) * shifted
-    acc /= d
-    flat = acc.reshape(-1)
+    spectrum = np.fft.fftn(psi.reshaped(), axes=lattice_axes)
+    ksum = sum(
+        np.arange(d).reshape([d if ax == i else 1 for i in range(len(dims))])
+        for ax in lattice_axes
+    )
+    spectrum *= (ksum - sector) % d == 0
+    flat = np.fft.ifftn(spectrum, axes=lattice_axes).reshape(-1)
     if np.linalg.norm(flat) < 1e-12:
         raise StateError(f"initial state has no weight in shift sector {sector}")
     return renormalize(flat, space)
@@ -160,61 +133,69 @@ def project_shift_sector(psi: StateVector, sector: int) -> StateVector:
 
 def build_initial_state(config: ScenarioConfig, space: CompositeSpace) -> StateVector:
     init = config.initial_state
-    if init["kind"] == "product":
-        factors = {
-            lbl: _factor_array(space, lbl, fac) for lbl, fac in init["factors"].items()
-        }
-        psi = make_product_state(space, factors)
-        if init.get("shift_sector") is not None:
-            psi = project_shift_sector(psi, int(init["shift_sector"]))
-        return psi
     if init["kind"] == "two_branch":
+        optional = {"mirror_width": init["mirror_width"]} if "mirror_width" in init else {}
         return build_two_branch_state(
             init["delta"],
-            init.get("model", "two-mode"),
+            init["model"],
             space=space,
             branch_label=init["branch_subsystem"],
             mirror_label=init["mirror_subsystem"],
-            mirror_width=init.get("mirror_width", 1.0),
+            **optional,
         )
-    raise ConfigError([f"initial_state.kind: unknown kind {init['kind']!r}"])
+    factors = {lbl: _factor_array(space, lbl, fac) for lbl, fac in init["factors"].items()}
+    psi = make_product_state(space, factors)
+    if "shift_sector" in init:
+        psi = project_shift_sector(psi, init["shift_sector"])
+    return psi
 
 
-def _realize_observable(
-    spec: dict,
-    space: CompositeSpace,
-    hamiltonian: AssembledOperator,
-    vhat: AssembledOperator | None,
-) -> Observable:
+_OPERATOR_BUILDERS = {
+    "spin_z": lambda space, label: diagonal_operator(
+        space, label, np.diag(spin_z_matrix(space.subsystem(label).dim))),
+    "position": lambda space, label: diagonal_operator(
+        space, label, space.subsystem(label).positions()),
+    "momentum": momentum_operator,
+    "total_shift": lambda space, label: total_shift_generator(space),
+}
+
+
+def _operator_cache(space: CompositeSpace):
+    """Builds each observable and audit operator of ``space`` once, on first use."""
+    return functools.cache(
+        lambda kind, label=None: _OPERATOR_BUILDERS[kind](space, label)
+    )
+
+
+def _realize_observable(spec: dict, operators, hamiltonian, vhat) -> Observable:
     name, kind = spec["name"], spec["kind"]
     if kind == "energy":
         return Observable(name, hamiltonian)
     if kind == "collapse_potential":
-        if vhat is None:
-            raise ConfigError(
-                [f"observables: {name!r} needs collapse enabled"]
-            )
         return Observable(name, vhat)
-    if kind == "spin_z":
-        return Observable(name, _spin_z(space, spec["subsystem"]))
-    if kind == "position":
-        return Observable(name, _position(space, spec["subsystem"]))
-    if kind == "width":
-        return Observable(name, _position(space, spec["subsystem"]), "width")
-    if kind == "momentum":
-        return Observable(name, momentum_operator(space, spec["subsystem"]))
     if kind == "total_shift":
-        return Observable(name, total_shift_generator(space))
-    raise ConfigError([f"observables: unknown kind {kind!r}"])
+        return Observable(name, operators(kind))
+    if kind == "width":
+        return Observable(name, operators("position", spec["subsystem"]), "width")
+    return Observable(name, operators(kind, spec["subsystem"]))
 
 
-def _spin_z(space: CompositeSpace, label: str) -> AssembledOperator:
-    sub = space.subsystem(label)
-    return diagonal_operator(space, label, np.diag(spin_z_matrix(sub.dim)))
-
-
-def _position(space: CompositeSpace, label: str) -> AssembledOperator:
-    return diagonal_operator(space, label, space.subsystem(label).positions())
+def _audits(config: ScenarioConfig, space: CompositeSpace, hamiltonian,
+            operators) -> list[ConservedQuantity]:
+    out = []
+    for a in config.audits:
+        name, kind = a["name"], a["kind"]
+        if kind == "energy":
+            out.append(ConservedQuantity(name, hamiltonian, kind))
+        elif kind == "total_quasimomentum":
+            out.append(ConservedQuantity(name, operators("total_shift"), kind))
+        elif kind == "spin_z":
+            out.append(ConservedQuantity(name, operators(kind, a["subsystem"]), kind,
+                                         subsystem=a["subsystem"]))
+        else:
+            op = assemble_hamiltonian(build_operator_spec(a["terms"]), space)
+            out.append(ConservedQuantity(name, op, kind))
+    return out
 
 
 def realize_audits(
@@ -223,30 +204,7 @@ def realize_audits(
     hamiltonian: AssembledOperator,
 ) -> list[ConservedQuantity]:
     """Build the conserved-quantity operators declared in the config."""
-    out = []
-    for a in config.audits:
-        kind = a["kind"]
-        if kind == "energy":
-            out.append(ConservedQuantity(a["name"], hamiltonian, "energy"))
-        elif kind == "total_quasimomentum":
-            out.append(
-                ConservedQuantity(
-                    a["name"], total_shift_generator(space), "total_quasimomentum"
-                )
-            )
-        elif kind == "spin_z":
-            out.append(
-                ConservedQuantity(
-                    a["name"], _spin_z(space, a["subsystem"]), "spin_z",
-                    subsystem=a["subsystem"],
-                )
-            )
-        elif kind == "custom":
-            op = assemble_hamiltonian(build_operator_spec(a["terms"]), space)
-            out.append(ConservedQuantity(a["name"], op, "custom"))
-        else:
-            raise ConfigError([f"audits: unknown kind {kind!r}"])
-    return out
+    return _audits(config, space, hamiltonian, _operator_cache(space))
 
 
 def realize(config: ScenarioConfig) -> RealizedScenario:
@@ -255,7 +213,8 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
     Audit quantities are recorded automatically: each audit contributes an
     observable series under its own name (plus per-lattice shift marginals
     for quasimomentum audits), and energy audits with collapse enabled
-    track the realized quadratic variation used by audit bounds.
+    track the realized quadratic variation used by audit bounds.  The
+    quantities themselves are kept on the result for the audit.
     """
     space = build_space(config)
     op_spec = build_operator_spec(config.operators["terms"])
@@ -269,13 +228,14 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
     psi0 = build_initial_state(config, space)
     plan = config.integration_plan()
 
+    operators = _operator_cache(space)
     observables = [
-        _realize_observable(o, space, hamiltonian, vhat) for o in config.observables
+        _realize_observable(o, operators, hamiltonian, vhat) for o in config.observables
     ]
     names = {o.name for o in observables}
 
     qv_tracks: list[str] = []
-    quantities = realize_audits(config, space, hamiltonian)
+    quantities = _audits(config, space, hamiltonian, operators)
     for q in quantities:
         if q.name not in names:
             observables.append(Observable(q.name, q.operator))
@@ -317,6 +277,7 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
         branches=branches,
         bipartitions=bipartitions,
         qv_tracks=tuple(qv_tracks),
+        quantities=tuple(quantities),
         config=config,
     )
 

@@ -1,10 +1,12 @@
+import copy
 import json
+import warnings
 
 import pytest
 
 from collapse_lab.config import config_hash, from_dict, load_config, serialize
-from collapse_lab.errors import ConfigError
-from collapse_lab.scenarios import builtin_scenario
+from collapse_lab.errors import CollapseLabError, ConfigError
+from collapse_lab.scenarios import builtin_names, builtin_scenario, realize
 
 
 def minimal_qnd_dict():
@@ -156,3 +158,166 @@ def test_external_potential_flag():
     )
     cfg = from_dict(d)
     assert cfg.has_external_potential
+
+
+BUILTIN_HASHES = {
+    "qnd-two-level": "8f3206d545f596c40741ecb4d289ee76822effe41ef40acf6a2bcff9619c79e5",
+    "beamsplitter": "50f5f1f813c6cd786f2c9f8e36b011bc133274b55670135d5f3120a9d27b8e00",
+    "two-particle-collision":
+        "301352b17a03a895c385b984903bdd3670764eff0592dd902a03b0d218cf2900",
+    "stern-gerlach": "0551aa23274ccb5939df48b9af1898d33bf1132e9dcacd9cd9b52defd5112ab6",
+    "free-packet": "9f323fe91197785ad2cf2e9f59c7b59ffcee5c470d1bd77bc23ac612fffa9e89",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_HASHES))
+def test_builtin_hashes_pinned(name):
+    # manifests of stored runs carry these; a moved byte orphans them
+    assert config_hash(builtin_scenario(name)) == BUILTIN_HASHES[name]
+
+
+def set_at(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+def with_lattice_extras(d):
+    d["space"]["subsystems"][1]["periodic"] = True
+    d["space"]["subsystems"][1]["x_min"] = 0.0
+    d["operators"]["terms"].append(
+        {"type": "external_potential", "subsystem": "pointer", "samples": [0.0, 1.0]})
+    return d
+
+
+@pytest.mark.parametrize("path", [
+    ("space", "subsystems", 1, "x_min"),
+    ("operators", "terms", 1, "samples", 0),
+    ("initial_state", "factors", "spin", 0),
+    ("operators", "terms", 0, "strength"),
+    ("collapse", "c_scale"),
+    ("plan", "collapse_threshold"),
+])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_refused(path, bad):
+    d = with_lattice_extras(minimal_qnd_dict())
+    from_dict(d)  # valid before the edit
+    set_at(d, path, [bad, 0.0] if path[-2:] == ("spin", 0) else bad)
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert any("finite" in msg for msg in err.value.errors)
+
+
+def test_load_config_refuses_nan_literal(tmp_path):
+    text = json.dumps(with_lattice_extras(minimal_qnd_dict()))
+    path = tmp_path / "nan.json"
+    path.write_text(text.replace('"x_min": 0.0', '"x_min": NaN'))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert any(msg.startswith("space.subsystems[1].x_min") for msg in err.value.errors)
+
+
+@pytest.mark.parametrize("path", [
+    ("space", "subsystems", 1, "periodic"),
+    ("collapse", "enabled"),
+])
+@pytest.mark.parametrize("bad", ["false", 0, 1, None])
+def test_flags_must_be_json_booleans(path, bad):
+    d = minimal_qnd_dict()
+    set_at(d, path, bad)
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert any(path[-1] in msg for msg in err.value.errors)
+
+
+def test_plan_seed_must_be_nonnegative_integer():
+    for bad in (-1, 2.5, True):
+        d = minimal_qnd_dict()
+        d["plan"]["seed"] = bad
+        with pytest.raises(ConfigError) as err:
+            from_dict(d)
+        assert any(msg.startswith("plan.seed") for msg in err.value.errors)
+
+
+@pytest.mark.parametrize("section", ["space", "plan", "initial_state", "collapse",
+                                     "operators"])
+@pytest.mark.parametrize("bad", [None, [], "x"])
+def test_section_that_is_not_an_object_refused_by_name(section, bad):
+    d = minimal_qnd_dict()
+    d[section] = bad
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert f"{section}: expected an object" in err.value.errors
+
+
+def test_shift_sector_requires_one_site_count():
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["space"]["subsystems"][1]["dim"] = 32
+    d["initial_state"]["shift_sector"] = 0
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert any("one site count" in msg for msg in err.value.errors)
+
+
+def test_collapse_potential_without_collapse_reported_with_other_errors():
+    d = minimal_qnd_dict()
+    d["collapse"]["enabled"] = False
+    d["observables"] = [{"name": "v", "kind": "collapse_potential"}]
+    d["plan"]["dt"] = -1.0
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    text = "\n".join(err.value.errors)
+    assert "needs collapse enabled" in text
+    assert "plan.dt" in text
+
+
+def test_collapse_section_absent_means_disabled_present_means_enabled():
+    d = minimal_qnd_dict()
+    del d["collapse"]
+    assert from_dict(d).collapse == {"enabled": False, "c_scale": 1.0, "tau0": 1.0}
+    d["collapse"] = {}
+    assert from_dict(d).collapse == {"enabled": True, "c_scale": 1.0, "tau0": 1.0}
+
+
+MUTATION_VALUES = [None, True, "x", -1, 0, 2.5, float("nan"), [], {}, ["x"], [[1]],
+                   {"a": 1}]
+
+
+def _value_paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+def test_every_single_value_mutation_is_refused_or_realized():
+    """Replacing any one value of a built-in by any of MUTATION_VALUES must
+    give a ConfigError, or a config that realizes or is refused with a
+    CollapseLabError: never another exception."""
+    escapes = []
+    n = 0
+    for name in builtin_names():
+        canonical = builtin_scenario(name).to_dict()
+        for path in _value_paths(canonical):
+            for value in MUTATION_VALUES:
+                n += 1
+                d = copy.deepcopy(canonical)
+                set_at(d, path, copy.deepcopy(value))
+                try:
+                    cfg = from_dict(d)
+                except ConfigError:
+                    continue
+                except Exception as exc:
+                    escapes.append((name, path, value, "from_dict", repr(exc)))
+                    continue
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        realize(cfg)
+                except CollapseLabError:
+                    pass
+                except Exception as exc:
+                    escapes.append((name, path, value, "realize", repr(exc)))
+    assert n == 3984
+    assert escapes == []

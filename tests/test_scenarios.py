@@ -132,3 +132,41 @@ def test_audit_series_added_automatically():
     assert "tshift" in names
     assert "tshift.particle" in names and "tshift.apparatus" in names
     assert sc.qv_tracks == ("energy",)
+
+
+def _roll_projection(psi, sector):
+    """Reference: average the d simultaneous shifts, phase-weighted."""
+    axes = [i for i, s in enumerate(psi.space.subsystems) if s.is_lattice]
+    d = psi.space.dims[axes[0]]
+    tensor = psi.reshaped()
+    acc = np.zeros_like(tensor)
+    for s in range(d):
+        acc += np.exp(2j * np.pi * sector * s / d) * np.roll(tensor, [s] * len(axes),
+                                                             axis=axes)
+    return acc.reshape(-1) / np.linalg.norm(acc)
+
+
+@pytest.mark.parametrize("sector", [0, 3, -5])
+def test_shift_sector_projection_matches_roll_reference(sector):
+    cfg = builtin_scenario("two-particle-collision")
+    sc = realize(cfg)
+    # forward and inverse FFT: O(log2 n) roundings per amplitude, n = 4096
+    tol = 4 * np.log2(sc.space.total_dim) * np.finfo(float).eps
+    projected = project_shift_sector(sc.psi0, sector)
+    assert np.max(np.abs(projected.amplitudes - _roll_projection(sc.psi0, sector))) < tol
+
+
+def test_shift_sector_without_weight_refused():
+    space = cl.CompositeSpace([cl.lattice("p", 4, 0.5, periodic=True)])
+    psi = cl.make_product_state(space, {"p": np.array([1.0, 1.0, 1.0, 1.0])})
+    with pytest.raises(cl.errors.StateError):
+        project_shift_sector(psi, 1)
+
+
+@pytest.mark.parametrize("name", ["qnd-two-level", "stern-gerlach"])
+def test_audit_quantities_built_once_and_shared(name):
+    sc = realize(builtin_scenario(name))
+    (quantity,) = sc.quantities
+    sz = next(o for o in sc.observables if o.name == "sz")
+    assert quantity.name == "sz_audit"
+    assert quantity.operator is sz.op
