@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--out-dir", default=None, help="artifact directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
     p_run = sub.add_parser("run", help="integrate a single trajectory")
@@ -142,7 +141,7 @@ def _cmd_run(args) -> int:
         config, f"seed{seed}"
     )
     manifest = build_manifest(config, [seed], "trajectory")
-    paths = persist_run([record], manifest, out_dir, fmt=args.format)
+    persist_run([record], manifest, out_dir)
     if not args.quiet:
         print(f"run complete: seed {seed}, "
               f"collapsed_branch={record.collapsed_branch!r}")
@@ -164,7 +163,7 @@ def _cmd_ensemble(args) -> int:
     )
     seeds = ensemble_seeds(base_seed, args.n_traj)
     manifest = build_manifest(config, seeds, "ensemble")
-    persist_run(records, manifest, out_dir, stats=stats, fmt=args.format)
+    persist_run(records, manifest, out_dir, stats=stats)
     if not args.quiet:
         freqs = {k: v / stats.n_traj for k, v in stats.outcome_counts.items()}
         print(f"ensemble complete: {stats.n_traj} trajectories, outcomes {freqs}")

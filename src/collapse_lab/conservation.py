@@ -52,7 +52,6 @@ __all__ = [
     "classify_quantity",
     "lindblad_drift_rate_bound",
     "family_threshold",
-    "audit_trajectory",
     "audit_run",
 ]
 
@@ -60,6 +59,8 @@ COMMUTE_TOL = 1e-12
 EXACT_TOL_HERMITIAN = 1e-10
 EXACT_TOL_UNITARY = 1e-9
 EIGENSTATE_RESIDUAL_TOL = 1e-8
+ORACLE_MAX_DIM = 16  # largest dimension whose ensemble mean meets the oracle
+N_SIGMA = 3.0  # each ensemble test has the false-alarm rate of one N_SIGMA test
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +230,11 @@ def classify_quantity(
 
 @dataclass
 class QuantityAudit:
-    """Audit result for one conserved quantity along one trajectory."""
+    """Audit result for one conserved quantity over the audited trajectories.
+
+    Drift, marginals and branch check are those of the trajectory with the
+    largest ``drift_max``; ``passed`` is False if any trajectory fails.
+    """
 
     name: str
     kind: str
@@ -266,7 +271,6 @@ class AuditReport:
 
     quantities: list[QuantityAudit] = field(default_factory=list)
     seed: int | None = None
-    collapsed_branch: str | None = None
     ensemble: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -285,7 +289,6 @@ class AuditReport:
             "schema_version": 1,
             "passed": self.passed,
             "seed": self.seed,
-            "collapsed_branch": self.collapsed_branch,
             "quantities": [q.to_dict() for q in self.quantities],
             "ensemble": {k: _jsonify(v) for k, v in self.ensemble.items()},
             "notes": list(self.notes),
@@ -298,8 +301,6 @@ class AuditReport:
         lines = []
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"conservation audit: {verdict}")
-        if self.collapsed_branch is not None:
-            lines.append(f"  collapse flag: branch {self.collapsed_branch!r}")
         for q in self.quantities:
             status = {True: "pass", False: "FAIL", None: "info"}[q.passed]
             lines.append(
@@ -358,117 +359,104 @@ def _drift_series(record: "TrajectoryRecord", quantity: ConservedQuantity):
     return series
 
 
-def audit_trajectory(
-    record: "TrajectoryRecord",
-    quantities: list[ConservedQuantity],
-    scenario: "RealizedScenario",
-) -> AuditReport:
-    """Audit one trajectory record against the declared quantities.
+def _audit_quantity(quantity, classified, block, records, scenario):
+    """Audit ``quantity`` on its stacked ``(n, n_records)`` series ``block``.
 
-    Refuses configurations containing external potentials.  Exactness is
-    asserted for commuting quantities started in an eigenspace; martingale
-    and lindblad-governed quantities record their drifts here and are
-    asserted at ensemble level by :func:`audit_run`.
+    Exactness is asserted for commuting quantities started in an
+    eigenspace, and the branch total of every collapsed trajectory with a
+    quadratic-variation track is checked; martingale and lindblad-governed
+    quantities are asserted at ensemble level by :func:`audit_run`.
+    Returns the entry describing the trajectory with the largest drift and
+    the per-trajectory pass mask.
     """
-    _refuse_if_uncertifiable(scenario)
-    return _audit_trajectory(record, quantities, scenario,
-                             _classify_all(quantities, scenario))
+    classification, details = classified
+    details = dict(details)
+    if quantity.is_unitary:
+        tol = EXACT_TOL_UNITARY
+        mod_drift = np.max(np.abs(np.abs(block) - np.abs(block[:, :1])), axis=1)
+        args = np.unwrap(np.angle(block), axis=1)
+        arg_drift = np.max(np.abs(args - args[:, :1]), axis=1)
+        drift = np.maximum(mod_drift, arg_drift)
+        drift_final = np.abs(args[:, -1] - args[:, 0])
+    else:
+        tol = EXACT_TOL_HERMITIAN
+        deviation = np.abs(block - block[:, :1])
+        drift = deviation.max(axis=1)
+        drift_final = deviation[:, -1]
+    ok = drift <= tol if classification == "exact" else np.ones(len(block), bool)
+
+    worst = int(np.argmax(drift))
+    if quantity.is_unitary:
+        details["modulus_drift_max"] = float(mod_drift[worst])
+        details["arg_drift_max"] = float(arg_drift[worst])
+    branch_check = None
+    collapsed = np.array([
+        rec.collapsed_branch is not None and quantity.name in rec.qv_series
+        for rec in records
+    ])
+    if collapsed.any() and not quantity.is_unitary and scenario.collapse_op is not None:
+        rows = np.flatnonzero(collapsed)
+        totals = _branch_totals(quantity, block, records, rows,
+                                scenario.hamiltonian, scenario.collapse_op)
+        ok[rows] &= totals["passed"]
+        if collapsed[worst]:
+            k = int(np.searchsorted(rows, worst))
+            branch_check = {
+                "branch": records[worst].collapsed_branch,
+                "time": float(totals["time"][k]),
+                "value": _jsonify(complex(totals["value"][k])),
+                "deviation": float(totals["deviation"][k]),
+                "drift_rate_bound": totals["drift_rate_bound"],
+                "quadratic_variation": float(totals["quadratic_variation"][k]),
+                "bound": float(totals["bound"][k]),
+                "passed": bool(totals["passed"][k]),
+            }
+
+    observables = records[worst].observables
+    entry = QuantityAudit(
+        name=quantity.name,
+        kind=quantity.kind,
+        classification=classification,
+        tolerance=tol,
+        initial=complex(block[worst, 0]),
+        drift_max=float(drift[worst]),
+        drift_final=float(drift_final[worst]),
+        passed=False if not ok.all() else (True if classification == "exact" else None),
+        details=details,
+        marginals={name: observables[name] for name in observables
+                   if name.startswith(quantity.name + ".")},
+        branch_check=branch_check,
+    )
+    return entry, ok
 
 
-def _classify_all(quantities, scenario) -> dict[str, tuple[str, dict]]:
-    """Classification per quantity name; it does not vary by trajectory."""
-    return {
-        q.name: classify_quantity(
-            q, scenario.hamiltonian, scenario.collapse_op, scenario.psi0
-        )
-        for q in quantities
-    }
-
-
-def _audit_trajectory(record, quantities, scenario, classified) -> AuditReport:
-    h = scenario.hamiltonian
-    v = scenario.collapse_op
-    report = AuditReport(seed=record.seed, collapsed_branch=record.collapsed_branch)
-
-    for q in quantities:
-        series = _drift_series(record, q)
-        classification, details = classified[q.name]
-        details = dict(details)
-        if q.is_unitary:
-            tol = EXACT_TOL_UNITARY
-            mod_drift = np.max(np.abs(np.abs(series) - np.abs(series[0])))
-            args = np.unwrap(np.angle(series))
-            arg_drift = np.max(np.abs(args - args[0]))
-            drift_max = float(max(mod_drift, arg_drift))
-            drift_final = float(abs(args[-1] - args[0]))
-            details["modulus_drift_max"] = float(mod_drift)
-            details["arg_drift_max"] = float(arg_drift)
-        else:
-            tol = EXACT_TOL_HERMITIAN
-            drift = np.abs(series - series[0])
-            drift_max = float(np.max(drift))
-            drift_final = float(drift[-1])
-        passed: bool | None = None
-        if classification == "exact":
-            passed = drift_max <= tol
-
-        marginals = {
-            name: record.observables[name]
-            for name in record.observables
-            if name.startswith(q.name + ".")
-        }
-
-        qa = QuantityAudit(
-            name=q.name,
-            kind=q.kind,
-            classification=classification,
-            tolerance=tol,
-            initial=complex(series[0]),
-            drift_max=drift_max,
-            drift_final=drift_final,
-            passed=passed,
-            details=details,
-            marginals=marginals,
-        )
-
-        if (
-            record.collapsed_branch is not None
-            and not q.is_unitary
-            and v is not None
-            and q.name in record.qv_series
-        ):
-            qa.branch_check = _branch_total_check(record, q, series, h, v)
-            if qa.branch_check["passed"] is False:
-                qa.passed = False
-        report.quantities.append(qa)
-
-    return report
-
-
-def _branch_total_check(record, quantity, series, hamiltonian, vhat) -> dict:
-    """Compare the post-collapse branch total against the initial total.
+def _branch_totals(quantity, block, records, rows, hamiltonian, vhat) -> dict:
+    """Compare the post-collapse branch totals of ``rows`` against their
+    initial totals.
 
     The bound combines the master-equation drift rate (exact bound on the
     mean) with five sigma of the realized quadratic variation of the
-    tracked expectation (martingale spread), plus a rounding floor.
+    tracked expectation (martingale spread), plus a rounding floor.  Each
+    field is an array indexed like ``rows``, except the drift rate, which
+    is computed once.
     """
-    plan = record.plan
-    idx = int(np.ceil(record.collapse_step / plan.record_every))
-    idx = min(idx, len(series) - 1)
-    elapsed = record.times[idx]
+    plan = records[0].plan
+    steps = np.array([records[i].collapse_step for i in rows])
+    idx = np.minimum(np.ceil(steps / plan.record_every).astype(int), block.shape[1] - 1)
+    elapsed = records[0].times[idx]
     rate = lindblad_drift_rate_bound(hamiltonian, vhat) \
         if hamiltonian is not None else 0.0
-    qv = float(record.qv_series[quantity.name][idx])
-    bound = rate * elapsed + 5.0 * np.sqrt(max(qv, 0.0)) + 1e-9
-    deviation = float(abs(series[idx] - series[0]))
+    qv = np.array([records[i].qv_series[quantity.name][k] for i, k in zip(rows, idx)])
+    bound = rate * elapsed + 5.0 * np.sqrt(np.maximum(qv, 0.0)) + 1e-9
+    value = block[rows, idx]
+    deviation = np.abs(value - block[rows, 0])
     return {
-        "branch": record.collapsed_branch,
-        "time": float(elapsed),
-        "value": _jsonify(complex(series[idx])),
+        "time": elapsed,
+        "value": value,
         "deviation": deviation,
         "drift_rate_bound": rate,
         "quadratic_variation": qv,
-        "bound": float(bound),
+        "bound": bound,
         "passed": deviation <= bound,
     }
 
@@ -486,52 +474,57 @@ def audit_run(
     records: list["TrajectoryRecord"],
     quantities: list[ConservedQuantity],
     scenario: "RealizedScenario",
-    *,
-    oracle_max_dim: int = 16,
-    n_sigma: float = 3.0,
 ) -> AuditReport:
-    """Audit a set of trajectories: per-trajectory checks plus ensemble tests.
+    """Audit a set of trajectories, one stored trajectory being a set of one.
 
-    Martingale quantities and commuting branch weights must keep their
-    ensemble mean within z standard errors of the initial value at every
-    checkpoint; lindblad-governed Hermitian quantities must track the
-    density-matrix oracle within z standard errors when the dimension
-    permits running it.  z is :func:`family_threshold` of ``n_sigma`` over
-    the m = n_records - 1 checkpoints after t = 0, so the whole series has
-    the false-alarm rate of a single ``n_sigma`` test.
+    Each quantity's series of all records are stacked into one
+    ``(n, n_records)`` block, and every check runs on blocks.  The report
+    holds one :class:`QuantityAudit` per quantity, describing the
+    trajectory with the largest drift and failing if any trajectory fails;
+    the ``per_trajectory`` section lists every failing (seed, quantity).
+
+    With two or more trajectories, martingale quantities and commuting
+    branch weights must keep their ensemble mean within z standard errors
+    of the initial value at every checkpoint; lindblad-governed Hermitian
+    quantities must track the density-matrix oracle within z standard
+    errors when the dimension is at most :data:`ORACLE_MAX_DIM`.  z is
+    :func:`family_threshold` of :data:`N_SIGMA` over the m = n_records - 1
+    checkpoints after t = 0, so the whole series has the false-alarm rate
+    of a single ``N_SIGMA`` test.
     """
     if not records:
         raise DimensionError("audit_run needs at least one trajectory record")
     _refuse_if_uncertifiable(scenario)
 
-    classified = _classify_all(quantities, scenario)
-    per_traj = [_audit_trajectory(rec, quantities, scenario, classified)
-                for rec in records]
+    n = len(records)
     report = AuditReport(seed=records[0].seed)
-    report.quantities = per_traj[0].quantities if len(per_traj) == 1 else []
-    report.notes.append(f"audited {len(records)} trajectories")
+    report.notes.append(f"audited {n} trajectories")
+    classified, blocks = {}, {}
+    ok = np.ones((n, len(quantities)), bool)
+    for j, q in enumerate(quantities):
+        classified[q.name] = classify_quantity(
+            q, scenario.hamiltonian, scenario.collapse_op, scenario.psi0
+        )
+        blocks[q.name] = np.array([_drift_series(rec, q) for rec in records])
+        entry, ok[:, j] = _audit_quantity(q, classified[q.name], blocks[q.name],
+                                          records, scenario)
+        report.quantities.append(entry)
 
-    failed = [
-        (rep.seed, q.name)
-        for rep in per_traj
-        for q in rep.quantities
-        if q.passed is False
-    ]
+    failed = [(records[i].seed, quantities[j].name) for i, j in np.argwhere(~ok)]
     report.ensemble["per_trajectory"] = {
-        "n_trajectories": len(records),
-        "failures": [{"seed": s, "quantity": n} for s, n in failed],
+        "n_trajectories": n,
+        "failures": [{"seed": s, "quantity": name} for s, name in failed],
         "passed": not failed,
     }
 
-    n = len(records)
     if n >= 2:
         m = len(records[0].times) - 1
-        z = family_threshold(n_sigma, m)
+        z = family_threshold(N_SIGMA, m)
         for q in quantities:
-            classification, _ = classified[q.name]
-            series = np.array([_drift_series(rec, q) for rec in records])
             if q.is_unitary:
                 continue
+            classification, _ = classified[q.name]
+            series = blocks[q.name]
             mean = series.real.mean(axis=0)
             se = series.real.std(axis=0, ddof=1) / np.sqrt(n)
             if classification == "martingale":
@@ -539,10 +532,10 @@ def audit_run(
                 report.ensemble[f"martingale:{q.name}"] = _within(dev, se, z, m)
             elif classification == "lindblad-governed":
                 dim = scenario.space.total_dim
-                if dim > oracle_max_dim:
+                if dim > ORACLE_MAX_DIM:
                     report.notes.append(
                         f"{q.name}: oracle comparison skipped (dim {dim} > "
-                        f"{oracle_max_dim}); per-trajectory bounds only"
+                        f"{ORACLE_MAX_DIM}); per-trajectory bounds only"
                     )
                     continue
                 from .integrator import lindblad_oracle

@@ -98,12 +98,6 @@ class SubsystemSpec:
             x0 = -0.5 * (self.dim - 1) * dx
         return x0 + dx * np.arange(self.dim)
 
-    @property
-    def box_length(self) -> float:
-        if not self.is_lattice:
-            raise GridError(f"{self.label}: box_length undefined for kind {self.kind}")
-        return self.dim * float(self.grid_spacing)
-
 
 def lattice(
     label: str,
@@ -191,9 +185,6 @@ class StateVector:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def reshaped(self) -> np.ndarray:
         """Amplitudes as an ndarray of shape ``space.dims`` (read-only view)."""

@@ -183,7 +183,6 @@ class TrajectoryRecord:
     collapsed_branch: str | None = None
     collapse_step: int | None = None
     norm_drift_mean: float = 0.0
-    norm_drift_count: int = 0
     qv_series: dict[str, np.ndarray] = field(default_factory=dict)
     states: np.ndarray | None = None  # (n_records, dim) when requested
 
@@ -304,13 +303,6 @@ class EnsembleStats:
     norm_drift_stderr: float
     mean_density: np.ndarray | None = None
     base_seed: int = 0
-
-    def outcome_frequency(self, label: str) -> float:
-        return self.outcome_counts.get(label, 0) / self.n_traj
-
-    def outcome_stderr(self, label: str) -> float:
-        p = self.outcome_frequency(label)
-        return float(np.sqrt(p * (1.0 - p) / self.n_traj))
 
 
 def _ensure_realized(scenario) -> RealizedScenario:
@@ -491,7 +483,6 @@ def _run_chunk_batched(
                 collapsed_branch=cb,
                 collapse_step=cs,
                 norm_drift_mean=float(drift_sum[i]) / plan.n_steps,
-                norm_drift_count=plan.n_steps,
                 qv_series={k: a[i] for k, a in qv.items()},
                 states=None if states is None else states[i],
             )

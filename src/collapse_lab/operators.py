@@ -74,9 +74,6 @@ class PairPotential:
     def __call__(self, separation) -> np.ndarray:
         return self.func(np.asarray(separation, dtype=float))
 
-    def params_dict(self) -> dict:
-        return {k: v for k, v in self.params}
-
 
 def gaussian_well(depth: float, width: float) -> PairPotential:
     """Attractive well -depth * exp(-d^2 / (2 width^2))."""
@@ -405,7 +402,7 @@ def embed_operator(space: CompositeSpace, ops: Mapping[str, np.ndarray]) -> sp.c
 def embed_diagonal(space: CompositeSpace, diags: Mapping[str, np.ndarray]) -> np.ndarray:
     """Full-space diagonal of a product over per-subsystem diagonals.
 
-    For a two-axis table, pass it via :func:`pair_diagonal` instead.
+    A two-axis table is broadcast by :func:`_pair_diagonal` instead.
     """
     full = np.ones(1, dtype=np.complex128)
     for sub in space.subsystems:

@@ -171,19 +171,6 @@ def _series_out(arr):
     return arr.tolist()
 
 
-def _trajectory_json_dict(record: TrajectoryRecord) -> dict:
-    return {
-        "schema_version": 1,
-        "seed": record.seed,
-        "t": record.times.tolist(),
-        "norm_pre": record.norms_pre_renorm.tolist(),
-        "observables": {k: _series_out(v) for k, v in record.observables.items()},
-        "branch_weights": {k: v.tolist() for k, v in record.branch_weights.items()},
-        "entropy": {k: v.tolist() for k, v in record.entropy_series.items()},
-        "qv": {k: v.tolist() for k, v in record.qv_series.items()},
-    }
-
-
 def _summary_dict(record: TrajectoryRecord) -> dict:
     terminal = {}
     for name, series in record.observables.items():
@@ -255,13 +242,6 @@ def load_manifest(out_dir) -> RunManifest:
     return RunManifest.from_dict(raw)
 
 
-def _trajectory_file(record: TrajectoryRecord, fmt: str) -> tuple[str, bytes]:
-    if fmt == "csv":
-        return (f"trajectory_seed{record.seed}.csv",
-                trajectory_csv_text(record).encode("utf-8"))
-    return f"trajectory_seed{record.seed}.json", _json_bytes(_trajectory_json_dict(record))
-
-
 class _HashingFile:
     """Binary file wrapper that hashes everything written through it."""
 
@@ -283,21 +263,19 @@ def persist_run(
     out_dir,
     *,
     stats: EnsembleStats | None = None,
-    fmt: str = "csv",
 ) -> dict[str, str]:
     """Write run artifacts under ``out_dir`` and return the file map.
 
     The manifest's ``artifacts`` and trajectory entries record each file's
-    sha256; the trajectories of an ensemble in ``fmt="csv"`` go to rows
-    of :data:`ENSEMBLE_ARRAY`, whose entries record their row, the columns
-    and the row's sha256.  Artifacts are staged in temporary files and
-    moved into place, manifest last.  A re-run of the same run is a no-op
-    when the files on disk still match their hashes and rewrites them
-    otherwise; a conflicting manifest at the same path raises
-    :class:`PersistError` instead of overwriting anything.
+    sha256.  A trajectory run stores each record as a CSV; the
+    trajectories of an ensemble go to rows of :data:`ENSEMBLE_ARRAY`,
+    whose entries record their row, the columns and the row's sha256.
+    Artifacts are staged in temporary files and moved into place,
+    manifest last.  A re-run of the same run is a no-op when the files on
+    disk still match their hashes and rewrites them otherwise; a
+    conflicting manifest at the same path raises :class:`PersistError`
+    instead of overwriting anything.
     """
-    if fmt not in ("csv", "json"):
-        raise PersistError(f"unknown format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / MANIFEST_NAME
@@ -327,7 +305,7 @@ def persist_run(
             }
             for rec in records
         ]
-        if records and fmt == "csv" and manifest.kind == "ensemble":
+        if records and manifest.kind == "ensemble":
             row_hashes = stage(ENSEMBLE_ARRAY,
                                lambda f: _write_trajectory_array(f, records))
             columns = [name for name, _ in _columns(records[0])]
@@ -336,7 +314,8 @@ def persist_run(
                              sha256=digest)
         else:
             for entry, rec in zip(entries, records):
-                name, data = _trajectory_file(rec, fmt)
+                name = f"trajectory_seed{rec.seed}.csv"
+                data = trajectory_csv_text(rec).encode("utf-8")
                 stage(name, lambda f: f.write(data))
                 entry.update(file=name, sha256=hashes[name])
         summary = {

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from scipy.linalg import expm
 
 import collapse_lab as cl
 from collapse_lab.config import from_dict
+from collapse_lab import conservation
 from collapse_lab.conservation import (
     ConservedQuantity,
     audit_run,
-    audit_trajectory,
     classify_quantity,
     commutator_certificate,
     family_threshold,
+    lindblad_drift_rate_bound,
     total_shift_generator,
 )
 from collapse_lab.errors import AuditRefusal, OperatorError
@@ -203,7 +205,7 @@ class TestAuditTrajectory:
         sc = realize(cfg)
         rec = run_trajectory(sc, seed=21)
         quantities = cl.realize_audits(cfg, sc.space, sc.hamiltonian)
-        report = audit_trajectory(rec, quantities, sc)
+        report = audit_run([rec], quantities, sc)
         tshift = next(q for q in report.quantities if q.name == "tshift")
         assert tshift.classification == "exact"
         assert tshift.passed is True
@@ -222,7 +224,7 @@ class TestAuditTrajectory:
         rec = run_trajectory(sc, seed=1)
         quantities = cl.realize_audits(cfg, sc.space, sc.hamiltonian)
         with pytest.raises(AuditRefusal):
-            audit_trajectory(rec, quantities, sc)
+            audit_run([rec], quantities, sc)
 
     def test_missing_series_is_an_error(self, qubit_space):
         plan = IntegrationPlan(dt=1e-3, n_steps=100, seed=0, record_every=50)
@@ -230,7 +232,7 @@ class TestAuditTrajectory:
         rec = run_trajectory(sc)
         q = ConservedQuantity("ghost", AssembledOperator(qubit_space, SIGMA_Z))
         with pytest.raises(cl.errors.DimensionError):
-            audit_trajectory(rec, [q], sc)
+            audit_run([rec], [q], sc)
 
 
 class TestAuditEnsemble:
@@ -276,6 +278,150 @@ class TestAuditEnsemble:
         assert payload["schema_version"] == 1
         assert "martingale:sz" in payload["ensemble"]
         assert isinstance(report.text_summary(), str)
+
+
+class TestBranchTotalCheck:
+    """The post-collapse branch total of each collapsed trajectory with a
+    quadratic-variation track, on qnd-two-level with an energy audit."""
+
+    @pytest.fixture(scope="class")
+    def ensemble(self):
+        d = builtin_scenario("qnd-two-level").to_dict()
+        d["audits"].append({"name": "energy", "kind": "energy"})
+        d["plan"]["n_steps"] = 2000
+        sc = realize(from_dict(d))
+        _, records = run_ensemble(sc, 40, base_seed=0, keep_records=True)
+        assert sum(r.collapsed_branch is not None for r in records) > 1
+        return sc, records
+
+    def test_correct_ensemble_passes_with_checks(self, ensemble):
+        sc, records = ensemble
+        report = audit_run(records, list(sc.quantities), sc)
+        assert report.passed
+        energy = next(q for q in report.quantities if q.name == "energy")
+        assert energy.branch_check is not None
+        assert energy.branch_check["passed"] is True
+        payload = json.loads(report.to_json())
+        assert payload["quantities"][1]["branch_check"]["passed"] is True
+
+    @pytest.mark.parametrize("factor, fails", [(0.999, False), (1.001, True)])
+    def test_record_moved_past_its_bound_fails(self, ensemble, factor, fails):
+        sc, records = ensemble
+        i = next(k for k, r in enumerate(records) if r.collapsed_branch is not None)
+        rec = records[i]
+        idx = int(np.ceil(rec.collapse_step / rec.plan.record_every))
+        rate = lindblad_drift_rate_bound(sc.hamiltonian, sc.collapse_op)
+        bound = rate * rec.times[idx] + 5.0 * np.sqrt(rec.qv_series["energy"][idx]) + 1e-9
+        energy = rec.observables["energy"].copy()
+        energy[idx] = energy[0] + factor * bound
+        moved = dataclasses.replace(rec, observables={**rec.observables, "energy": energy})
+        report = audit_run([*records[:i], moved, *records[i + 1:]],
+                           list(sc.quantities), sc)
+        failures = report.ensemble["per_trajectory"]["failures"]
+        entry = next(q for q in report.quantities if q.name == "energy")
+        if fails:
+            assert failures == [{"seed": rec.seed, "quantity": "energy"}]
+            assert entry.passed is False and not report.passed
+            assert entry.branch_check["passed"] is False
+        else:
+            assert failures == [] and entry.passed is None
+
+    def test_drift_rate_bound_computed_once_per_quantity(self, ensemble, monkeypatch):
+        sc, records = ensemble
+        calls = []
+
+        def spy(hamiltonian, vhat):
+            calls.append(1)
+            return lindblad_drift_rate_bound(hamiltonian, vhat)
+
+        monkeypatch.setattr(conservation, "lindblad_drift_rate_bound", spy)
+        energy = [q for q in sc.quantities if q.name == "energy"]
+        assert audit_run(records, energy, sc).passed
+        assert len(calls) == 1
+
+    def test_entry_is_the_worst_trajectory_audited_alone(self, ensemble):
+        sc, records = ensemble
+        report = audit_run(records, list(sc.quantities), sc)
+        assert [q.name for q in report.quantities] == ["sz_audit", "energy"]
+        for q, entry in zip(sc.quantities, report.quantities):
+            drifts = [np.max(np.abs(r.observables[q.name] - r.observables[q.name][0]))
+                      for r in records]
+            worst = records[int(np.argmax(drifts))]
+            alone = audit_run([worst], [q], sc).quantities[0]
+            assert entry.drift_max == max(drifts)
+            assert json.dumps(entry.to_dict()) == json.dumps(alone.to_dict())
+
+
+def test_unitary_entry_is_the_worst_trajectory_audited_alone():
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["initial_state"]["shift_sector"] = 0
+    d["plan"].update(n_steps=400, record_every=100)
+    sc = realize(from_dict(d))
+    _, records = run_ensemble(sc, 3, base_seed=5, keep_records=True)
+    tshift = next(q for q in sc.quantities if q.name == "tshift")
+    entry = audit_run(records, [tshift], sc).quantities[0]
+    alone = [audit_run([r], [tshift], sc).quantities[0] for r in records]
+    assert entry.passed is True
+    worst = max(alone, key=lambda a: a.drift_max)
+    assert json.dumps(entry.to_dict()) == json.dumps(worst.to_dict())
+    drifts = []  # one series at a time, as the reference for the block
+    for r in records:
+        series = r.observables["tshift"]
+        args = np.unwrap(np.angle(series))
+        drifts.append(max(np.max(np.abs(np.abs(series) - np.abs(series[0]))),
+                          np.max(np.abs(args - args[0]))))
+    assert entry.drift_max == max(drifts)
+
+
+def test_unitary_drift_unwraps_each_trajectory_phase():
+    # phases that turn by 1 and 2 rad per record pass through +-pi
+    space = cl.CompositeSpace([cl.lattice("p", 4, 1.0, periodic=True)])
+    t = ConservedQuantity("T", total_shift_generator(space), "total_quasimomentum")
+    plan = IntegrationPlan(dt=1e-3, n_steps=6, seed=0, record_every=1)
+    sc = make_realized(space, None, None, [1.0, 1.0, 1.0, 1.0], plan)
+    records = [
+        cl.TrajectoryRecord(
+            times=np.arange(plan.n_records) * plan.dt,
+            norms_pre_renorm=np.ones(plan.n_records),
+            observables={"T": np.exp(1j * turn * np.arange(plan.n_records))},
+            branch_weights={}, entropy_series={},
+            final_state=None, seed=seed, plan=plan,
+        )
+        for seed, turn in ((0, 1.0), (1, 2.0))
+    ]
+    entry = audit_run(records, [t], sc).quantities[0]
+    assert entry.classification == "exact" and entry.passed is False
+    assert entry.drift_max == pytest.approx(12.0, abs=1e-12)
+    assert entry.drift_final == pytest.approx(12.0, abs=1e-12)
+    assert entry.details["arg_drift_max"] == pytest.approx(12.0, abs=1e-12)
+
+
+def test_per_trajectory_failures_by_trajectory_then_quantity(qubit_space):
+    # both quantities are exact (eigenstate start) and every record drifts
+    plan = IntegrationPlan(dt=1e-3, n_steps=4, seed=0, record_every=1)
+    sc = make_realized(qubit_space, None, SIGMA_Z, [1.0, 0.0], plan)
+    quantities = [ConservedQuantity(name, AssembledOperator(qubit_space, SIGMA_Z))
+                  for name in ("b", "a")]
+    records = [
+        cl.TrajectoryRecord(
+            times=np.arange(plan.n_records) * plan.dt,
+            norms_pre_renorm=np.ones(plan.n_records),
+            observables={"a": 1.0 - drift * np.arange(plan.n_records),
+                         "b": 1.0 - drift * np.arange(plan.n_records)},
+            branch_weights={}, entropy_series={},
+            final_state=None, seed=seed, plan=plan,
+        )
+        for seed, drift in ((9, 1e-3), (3, 0.0), (5, 2e-3))
+    ]
+    report = audit_run(records, quantities, sc)
+    assert report.ensemble["per_trajectory"]["failures"] == [
+        {"seed": 9, "quantity": "b"}, {"seed": 9, "quantity": "a"},
+        {"seed": 5, "quantity": "b"}, {"seed": 5, "quantity": "a"},
+    ]
+    assert [(q.name, q.passed) for q in report.quantities] == [("b", False), ("a", False)]
+    drifts = [q.drift_max for q in report.quantities]
+    assert drifts == pytest.approx([8e-3, 8e-3], abs=1e-15)
+    assert not report.passed
 
 
 class TestUnitaryOnlyConservation:

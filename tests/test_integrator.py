@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import collapse_lab as cl
@@ -7,6 +9,7 @@ from collapse_lab import integrator
 from collapse_lab.config import from_dict
 from collapse_lab.errors import NumericalError, StabilityError
 from collapse_lab.integrator import (
+    Branch,
     IntegrationPlan,
     Observable,
     lindblad_oracle,
@@ -18,7 +21,23 @@ from collapse_lab.operators import AssembledOperator
 from collapse_lab.persist import trajectory_csv_text
 from collapse_lab.scenarios import builtin_scenario, realize
 
-from conftest import SIGMA_X, SIGMA_Z, make_realized
+from conftest import SIGMA_X, SIGMA_Z, make_realized, random_hermitian, random_state
+
+
+def assert_same_trajectory(single, rec):
+    """``single`` (a batch of one) matches ``rec`` (a row of a larger batch)
+    to 1e-12 in every series and in the final state."""
+    assert single.collapse_step == rec.collapse_step
+    assert single.collapsed_branch == rec.collapsed_branch
+    for attr in ("observables", "branch_weights", "entropy_series", "qv_series"):
+        one, many = getattr(single, attr), getattr(rec, attr)
+        assert one.keys() == many.keys()
+        for k in one:
+            assert np.allclose(one[k], many[k], rtol=0.0, atol=1e-12), k
+    assert np.allclose(single.norms_pre_renorm, rec.norms_pre_renorm,
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(single.final_state.amplitudes,
+                       rec.final_state.amplitudes, rtol=0.0, atol=1e-12)
 
 
 def as_op(space, mat, hermitian=True):
@@ -234,19 +253,40 @@ class TestRunEnsemble:
         )
         _, recs = run_ensemble(sc, 3, base_seed=31, keep_records=True)
         for rec in recs:
-            single = run_trajectory(sc, seed=rec.seed)
-            assert single.collapse_step == rec.collapse_step
-            assert single.collapsed_branch == rec.collapsed_branch
-            for attr in ("observables", "branch_weights", "entropy_series",
-                         "qv_series"):
-                one, many = getattr(single, attr), getattr(rec, attr)
-                assert one.keys() == many.keys()
-                for k in one:
-                    assert np.allclose(one[k], many[k], rtol=0.0, atol=1e-12), k
-            assert np.allclose(single.norms_pre_renorm, rec.norms_pre_renorm,
-                               rtol=0.0, atol=1e-12)
-            assert np.allclose(single.final_state.amplitudes,
-                               rec.final_state.amplitudes, rtol=0.0, atol=1e-12)
+            assert_same_trajectory(run_trajectory(sc, seed=rec.seed), rec)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.sampled_from([(2,), (5,), (8,), (2, 2), (2, 3), (2, 4), (4, 2)]),
+           n_traj=st.integers(2, 6), pick=st.integers(0, 5),
+           complex_noise=st.booleans(), diagonal_v=st.booleans())
+    def test_batch_of_one_matches_batch_of_many_random(self, seed, dims, n_traj,
+                                                       pick, complex_noise, diagonal_v):
+        # V near-diagonal in the branch basis, so that a good share of the
+        # trajectories collapse within the run
+        rng = np.random.default_rng(seed)
+        space = cl.CompositeSpace([cl.discrete(f"s{i}", d) for i, d in enumerate(dims)])
+        d = space.total_dim
+        h = random_hermitian(rng, d, 0.1)
+        v = np.diag(rng.uniform(-3.0, 3.0, d)).astype(complex)
+        if not diagonal_v:
+            v += random_hermitian(rng, d, 0.05)
+        plan = IntegrationPlan(dt=5e-3, n_steps=200, seed=0, record_every=50,
+                               noise_kind="complex" if complex_noise else "real",
+                               collapse_threshold=0.95)
+        sc = make_realized(
+            space, h, v, random_state(rng, d), plan,
+            observables=[Observable("h", AssembledOperator(space, h)),
+                         Observable("v", AssembledOperator(space, v))],
+            branches=[Branch("lo", np.arange(d // 2)),
+                      Branch("hi", np.arange(d // 2, d))],
+            bipartitions=[cl.Bipartition.of(space, {"s0"})] if len(dims) == 2 else [],
+            qv_tracks=["h"],
+        )
+        _, recs = run_ensemble(sc, n_traj, base_seed=int(rng.integers(10**6)),
+                               keep_records=True)
+        rec = recs[pick % n_traj]
+        assert_same_trajectory(run_trajectory(sc, seed=rec.seed), rec)
 
     def test_stability_guard(self):
         d = builtin_scenario("qnd-two-level").to_dict()

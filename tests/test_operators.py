@@ -195,15 +195,18 @@ class TestBetaApply:
         with pytest.raises(OperatorError):
             cl.beta_apply(t, cl.make_product_state(qubit_space, {"q": [1, 0]}))
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12))
-    def test_result_orthogonal_to_state(self, seed, dim):
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_result_orthogonal_to_state(self, seed, dim, log_scale):
         rng = np.random.default_rng(seed)
         space = cl.CompositeSpace([cl.discrete("x", dim)])
-        v = AssembledOperator(space, random_hermitian(rng, dim), hermitian=True)
+        vmat = random_hermitian(rng, dim, scale=10.0**log_scale)
+        v = AssembledOperator(space, vmat, hermitian=True)
         psi = cl.renormalize(random_state(rng, dim), space)
         vec, mean = cl.beta_apply(v, psi)
         assert abs(np.vdot(psi.amplitudes, vec)) < 1e-10
+        assert abs(np.vdot(psi.amplitudes, vec)) <= 1e-12 * np.max(np.abs(vmat))
 
 
 class TestTranslationInvariance:

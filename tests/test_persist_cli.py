@@ -198,12 +198,15 @@ class TestCli:
             assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
 
     def test_json_run_audit_refused(self, tmp_path):
+        # a manifest entry that points at an artifact other than a table
         cfg_path = self.write_config(tmp_path)
-        out = tmp_path / "ensjson"
-        assert cli_run(["ensemble", "--config", str(cfg_path), "--n-traj", "3",
-                        "--format", "json", "--out-dir", str(out),
-                        "--keep-trajectories", "--quiet"]) == 0
-        meta = load_manifest(out).trajectories[0]
+        out = tmp_path / "jsonrun"
+        assert cli_run(["run", "--config", str(cfg_path), "--seed", "3",
+                        "--out-dir", str(out), "--quiet"]) == 0
+        raw = json.loads((out / "manifest.json").read_text())
+        meta = raw["trajectories"][0]
+        meta.update(file="summary.json", sha256=raw["artifacts"]["summary.json"])
+        (out / "manifest.json").write_text(json.dumps(raw))
         with pytest.raises(PersistError, match="not a trajectory CSV"):
             load_trajectory_csv(out / meta["file"], meta)
         assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
@@ -238,15 +241,6 @@ class TestCli:
             out / manifest.trajectories[0]["file"], manifest.trajectories[0]
         )
         assert len(stored.times) >= 2
-
-    def test_json_format_run(self, tmp_path):
-        cfg_path = self.write_config(tmp_path)
-        out = tmp_path / "jsonrun"
-        code = cli_run(["run", "--config", str(cfg_path), "--seed", "3",
-                        "--format", "json", "--out-dir", str(out), "--quiet"])
-        assert code == 0
-        payload = json.loads((out / "trajectory_seed3.json").read_text())
-        assert "observables" in payload and "sz" in payload["observables"]
 
 
 def _sha256(path) -> str:
