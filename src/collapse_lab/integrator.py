@@ -119,16 +119,22 @@ class Observable:
     def evaluate(self, psi: np.ndarray) -> np.ndarray:
         """One value per row of a (batch, d) block of states."""
         opsi = self.op.apply(psi)
-        mean = np.vecdot(psi, opsi)
         if self.is_complex:
-            return mean
+            return np.vecdot(psi, opsi)
+        mean = _re_vecdot(psi, opsi)
         if self.kind == "expectation":
-            return mean.real
-        return np.sqrt(np.maximum(np.vecdot(opsi, opsi).real - mean.real**2, 0.0))
+            return mean
+        return np.sqrt(np.maximum(_re_vecdot(opsi, opsi) - mean**2, 0.0))
 
     @property
     def is_complex(self) -> bool:
         return not self.op.hermitian
+
+
+def _re_vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a|b> for each row of two C-contiguous complex blocks: one real
+    dot product over their float64 views."""
+    return np.vecdot(a.view(np.float64), b.view(np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +144,14 @@ class Branch:
     label: str
     indices: np.ndarray
 
-    def weights(self, psi: np.ndarray) -> np.ndarray:
-        """Weight of the branch in each row of a (batch, d) block of states."""
-        return np.sum(np.abs(psi[:, self.indices]) ** 2, axis=1)
+
+def _branch_indicator(branches: tuple[Branch, ...], d: int) -> np.ndarray:
+    """(2d, n_branches) 0/1 matrix: ``(f * f) @ indicator``, with f the
+    float64 view of a (b, d) block, gives every branch weight of each row."""
+    ind = np.zeros((d, 2, len(branches)))
+    for k, br in enumerate(branches):
+        ind[br.indices, :, k] = 1.0
+    return ind.reshape(2 * d, len(branches))
 
 
 @dataclass(eq=False)
@@ -223,7 +234,7 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
     beta = None
     if v is not None:
         beta = v.apply(psi)
-        vmean = np.vecdot(psi, beta).real[:, None]
+        vmean = _re_vecdot(psi, beta)[:, None]
         beta -= vmean * psi
         new = v.apply(beta)
         new -= vmean * beta
@@ -237,7 +248,7 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
         new += psi
     else:
         new = psi.copy()
-    nrm = np.sqrt(np.vecdot(new, new).real)
+    nrm = np.sqrt(_re_vecdot(new, new))
     if not np.all(np.isfinite(nrm)) or np.any(nrm == 0.0):
         raise NumericalError("state norm became non-finite during integration")
     new *= (1.0 / nrm)[:, None]
@@ -412,13 +423,20 @@ def _run_chunk_batched(
     collapse_step = np.full(b, -1, dtype=np.int64)
     collapse_branch = np.full(b, -1, dtype=np.int64)
     drift_sum = np.zeros(b)
+    indicator = _branch_indicator(sc.branches, d)
+
+    def branch_weights(block: np.ndarray) -> np.ndarray:
+        f = block.view(np.float64)
+        return (f * f) @ indicator
 
     def record(idx: int, pre_norms: np.ndarray):
         norms[:, idx] = pre_norms
         for o in sc.observables:
             obs[o.name][:, idx] = o.evaluate(psi)
-        for br in sc.branches:
-            weights[br.label][:, idx] = br.weights(psi)
+        if sc.branches:
+            w = branch_weights(psi)
+            for k, br in enumerate(sc.branches):
+                weights[br.label][:, idx] = w[:, k]
         for part in sc.bipartitions:
             entropies[part.name()][:, idx] = part.entropies(sc.space, psi)
         for name in sc.qv_tracks:
@@ -427,17 +445,17 @@ def _run_chunk_batched(
             states[:, idx, :] = psi
 
     def check_collapse(step: int):
-        # collapsed rows are not tested again; no copy while none has
+        # collapsed rows are not tested again; no copy while none has.  A
+        # row that crosses the threshold in two branches takes the first.
         rows = np.flatnonzero(collapse_step < 0)
-        if rows.size == 0:
+        if rows.size == 0 or not sc.branches:
             return
         open_psi = psi if rows.size == b else psi[rows]
-        for bi, br in enumerate(sc.branches):
-            hit = br.weights(open_psi) >= plan.collapse_threshold
-            if hit.any():
-                collapse_step[rows[hit]] = step
-                collapse_branch[rows[hit]] = bi
-                rows, open_psi = rows[~hit], open_psi[~hit]
+        hit = branch_weights(open_psi) >= plan.collapse_threshold
+        crossed = hit.any(axis=1)
+        if crossed.any():
+            collapse_step[rows[crossed]] = step
+            collapse_branch[rows[crossed]] = hit[crossed].argmax(axis=1)
 
     record(0, np.ones(b))
     check_collapse(0)

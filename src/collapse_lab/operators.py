@@ -264,17 +264,14 @@ class AssembledOperator:
     @cached_property
     def _applier(self) -> Callable[[np.ndarray], np.ndarray]:
         """Applied form, prepared once: an elementwise product for a
-        diagonal, ``psi @ m.T`` with the transpose stored contiguous for
-        d <= 256, and CSR otherwise.  For a real diagonal the elementwise
-        product equals the dense and CSR sums exactly."""
+        diagonal, CSR for every other operator.  A (b, d) block comes back
+        C-contiguous, so that its rows have float64 views.  For a real
+        diagonal the elementwise product equals the CSR sum exactly."""
         diag = self._diagonal
         if diag is not None:
             return lambda psi: diag * psi
         m = self.matrix
-        if m.shape[0] <= 256:
-            mt = np.ascontiguousarray(m.toarray().T)
-            return lambda psi: psi @ mt
-        return lambda psi: (m @ psi.T).T
+        return lambda psi: np.ascontiguousarray((m @ psi.T).T)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """``M psi`` for a state, or for each row of a (batch, d) block."""

@@ -241,8 +241,8 @@ class TestRunEnsemble:
             )
 
     @pytest.mark.parametrize("name, n_steps", [
-        ("stern-gerlach", 300),  # dense operators, d = 96
-        ("two-particle-collision", 200),  # sparse operators, d = 4096
+        ("stern-gerlach", 300),  # d = 96
+        ("two-particle-collision", 200),  # d = 4096
     ])
     def test_batch_of_one_matches_batch_of_many(self, name, n_steps):
         import dataclasses
@@ -442,3 +442,60 @@ def test_chunking_keeps_collapsing_trajectories_bit_identical(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 3 * sc.space.total_dim)
     assert run() == one_chunk
+
+
+def test_unitary_ensemble_at_large_dim():
+    # no collapse operator at d = 4096: H psi alone makes the update, and
+    # the new block must still have rows with float64 views
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["collapse"] = {"enabled": False}
+    d["plan"].update({"n_steps": 20, "record_every": 10})
+    sc = realize(from_dict(d))
+    assert sc.collapse_op is None and sc.space.total_dim > 256
+    stats, recs = run_ensemble(sc, 2, 0, keep_records=True)
+    assert stats.outcome_counts == {"uncollapsed": 2}
+    assert np.array_equal(recs[0].final_state.amplitudes,
+                          recs[1].final_state.amplitudes)
+    single = run_trajectory(sc, seed=5)
+    assert np.array_equal(single.final_state.amplitudes,
+                          recs[0].final_state.amplitudes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recorded_branch_weights_sum_their_indices(seed):
+    # three or four branches over a shuffled basis, so that no branch is a
+    # contiguous index range
+    rng = np.random.default_rng(seed)
+    space = cl.CompositeSpace([cl.discrete("a", 3), cl.discrete("b", 4)])
+    d = space.total_dim
+    n_branches = 3 + seed % 2
+    parts = np.array_split(rng.permutation(d), n_branches)
+    assert not any(np.array_equal(np.sort(p), np.arange(p.min(), p.max() + 1))
+                   for p in parts)
+    branches = [Branch(f"b{k}", np.sort(p)) for k, p in enumerate(parts)]
+    plan = IntegrationPlan(dt=2e-3, n_steps=300, seed=seed, record_every=20)
+    sc = make_realized(space, random_hermitian(rng, d, 0.3),
+                       np.diag(rng.uniform(-2.0, 2.0, d)).astype(complex),
+                       random_state(rng, d), plan, branches=branches)
+    # a block of four rows (states are recorded along with the density)
+    # and a batch of one
+    _, recs = run_ensemble(sc, 4, base_seed=10 * seed, record_density=True,
+                           keep_records=True)
+    for rec in [*recs, run_trajectory(sc, seed=seed, record_states=True)]:
+        for br in branches:
+            expected = np.sum(np.abs(rec.states[:, br.indices]) ** 2, axis=1)
+            assert np.allclose(rec.branch_weights[br.label], expected,
+                               rtol=0.0, atol=1e-12), br.label
+
+
+def test_first_branch_wins_when_two_cross_the_threshold():
+    space = cl.CompositeSpace([cl.discrete("s", 3)])
+    plan = IntegrationPlan(dt=1e-3, n_steps=10, record_every=10,
+                           collapse_threshold=0.3)
+    sc = make_realized(space, None, np.diag([1.0, -1.0, 0.0]).astype(complex),
+                       [0.1, np.sqrt(0.45), np.sqrt(0.45)], plan,
+                       branches=[Branch("a", np.array([0])),
+                                 Branch("b", np.array([1])),
+                                 Branch("c", np.array([2]))])
+    rec = run_trajectory(sc)
+    assert (rec.collapse_step, rec.collapsed_branch) == (0, "b")

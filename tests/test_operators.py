@@ -273,6 +273,7 @@ class TestApply:
         block = np.array([random_state(rng, d) for _ in range(5)])
         out = op.apply(block)
         assert out.shape == block.shape
+        assert out.flags.c_contiguous
         for row, state in zip(out, block):
             assert np.allclose(row, mat @ state, rtol=0.0, atol=1e-12)
 
