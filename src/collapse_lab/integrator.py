@@ -19,6 +19,7 @@ equation  d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -70,7 +71,7 @@ class IntegrationPlan:
     collapse_threshold: float = DEFAULT_COLLAPSE_THRESHOLD
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
@@ -206,11 +207,17 @@ class TrajectoryRecord:
             if len(arr) != n:
                 raise DimensionError("trajectory series lengths differ")
         if self.branch_weights:
-            sums = np.sum(list(self.branch_weights.values()), axis=0)
-            if np.max(np.abs(sums - 1.0)) > 1e-9:
+            # in-place adds in branch order: the same sum as np.sum(axis=0)
+            weights = iter(self.branch_weights.values())
+            sums = np.array(next(weights), dtype=float)
+            for w in weights:
+                sums += w
+            sums -= 1.0
+            deviation = np.abs(sums, out=sums).max()
+            if deviation > 1e-9:
                 raise NumericalError(
                     "branch weights do not partition probability "
-                    f"(max deviation {np.max(np.abs(sums - 1.0)):.3e})"
+                    f"(max deviation {deviation:.3e})"
                 )
 
     @property
@@ -249,7 +256,7 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
     else:
         new = psi.copy()
     nrm = np.sqrt(_re_vecdot(new, new))
-    if not np.all(np.isfinite(nrm)) or np.any(nrm == 0.0):
+    if not (np.isfinite(nrm).all() and nrm.all()):
         raise NumericalError("state norm became non-finite during integration")
     new *= (1.0 / nrm)[:, None]
     return new, nrm, beta, hpsi
@@ -447,8 +454,10 @@ def _run_chunk_batched(
     def check_collapse(step: int):
         # collapsed rows are not tested again; no copy while none has.  A
         # row that crosses the threshold in two branches takes the first.
+        if not sc.branches:
+            return
         rows = np.flatnonzero(collapse_step < 0)
-        if rows.size == 0 or not sc.branches:
+        if rows.size == 0:
             return
         open_psi = psi if rows.size == b else psi[rows]
         hit = branch_weights(open_psi) >= plan.collapse_threshold

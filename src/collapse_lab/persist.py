@@ -36,9 +36,9 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -115,6 +115,14 @@ def build_manifest(config: ScenarioConfig, seeds: Iterable[int], kind: str) -> R
     )
 
 
+_PLAN_FIELDS = tuple(f.name for f in fields(IntegrationPlan))
+
+
+def _plan_dict(plan: IntegrationPlan) -> dict:
+    """``asdict(plan)`` without its deep copies: every field is a scalar."""
+    return {name: getattr(plan, name) for name in _PLAN_FIELDS}
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -180,7 +188,7 @@ def _summary_dict(record: TrajectoryRecord) -> dict:
     return {
         "schema_version": 1,
         "seed": record.seed,
-        "plan": asdict(record.plan),
+        "plan": _plan_dict(record.plan),
         "collapsed_branch": record.collapsed_branch,
         "collapse_step": record.collapse_step,
         "collapse_time": record.collapse_time,
@@ -200,7 +208,7 @@ def ensemble_json_dict(stats: EnsembleStats, plan: IntegrationPlan) -> dict:
         "schema_version": 1,
         "n_traj": stats.n_traj,
         "base_seed": stats.base_seed,
-        "plan": asdict(plan),
+        "plan": _plan_dict(plan),
         "t": stats.times.tolist(),
         "observable_mean": {k: _series_out(v) for k, v in stats.observable_mean.items()},
         "observable_stderr": {
@@ -259,6 +267,33 @@ class _HashingFile:
         return self._hash.hexdigest()
 
 
+def _identity_difference(old: RunManifest, new: RunManifest) -> str:
+    """The identity fields in which ``old`` and ``new`` differ, as text;
+    for the artifacts, the names whose hashes differ."""
+    a, b = old.identity(), new.identity()
+    parts = []
+    for key in a:
+        if a[key] == b[key]:
+            continue
+        if key == "artifacts":
+            names = sorted(n for n in a[key].keys() | b[key].keys()
+                           if a[key].get(n) != b[key].get(n))
+            parts.append(f"artifacts {', '.join(names)}")
+        elif key == "config_hash":
+            parts.append(f"config_hash {a[key][:12]} vs {b[key][:12]}")
+        elif key == "seeds":
+            parts.append(f"seeds {_brief(a[key])} vs {_brief(b[key])}")
+        else:
+            parts.append(f"{key} {a[key]!r} vs {b[key]!r}")
+    return "differs in " + "; ".join(parts)
+
+
+def _brief(seeds: list[int]) -> str:
+    if len(seeds) <= 3:
+        return repr(seeds)
+    return f"[{seeds[0]}, ..., {seeds[-1]}] ({len(seeds)} seeds)"
+
+
 def persist_run(
     records: list[TrajectoryRecord],
     manifest: RunManifest,
@@ -303,7 +338,7 @@ def persist_run(
                 "seed": rec.seed,
                 "collapsed_branch": rec.collapsed_branch,
                 "collapse_step": rec.collapse_step,
-                "plan": asdict(rec.plan),
+                "plan": _plan_dict(rec.plan),
             }
             for rec in records
         ]
@@ -340,8 +375,7 @@ def persist_run(
             if existing.identity() != manifest.identity():
                 raise PersistError(
                     f"{manifest_path} already holds a different run "
-                    f"(hash {existing.config_hash[:12]} vs {manifest.config_hash[:12]}, "
-                    f"schema {existing.schema_version} vs {manifest.schema_version}); "
+                    f"({_identity_difference(existing, manifest)}); "
                     "refusing to overwrite"
                 )
             if all(_file_sha256(out / name) == h for name, h in hashes.items()):
@@ -366,67 +400,103 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
     record has no final state; hash, record-count and branch-partition
     failures are :class:`PersistError`.
     """
-    path = Path(path)
     if "sha256" not in meta:
         raise PersistError(f"{path}: the manifest records no content hash")
     plan = IntegrationPlan(**meta["plan"])
     if "row" in meta:
-        by_name = _read_array_row(path, meta, plan)
-    elif path.suffix == ".csv":
-        by_name = _read_csv(path, meta, plan)
+        names, columns = _read_array_row(path, meta, plan)
+    elif os.path.splitext(path)[1] == ".csv":
+        names, columns = _read_csv(path, meta, plan)
     else:
         raise PersistError(
             f"{path}: not a trajectory CSV or ensemble array; audits need one"
         )
-
-    observables: dict[str, np.ndarray] = {}
-    consumed = {"t", "norm_pre"}
-    for name in by_name:
-        if name in consumed or name.startswith(("branch_", "entropy_", "qv_")):
-            continue
-        if name.endswith("_re") and name[:-3] + "_im" in by_name:
-            base = name[:-3]
-            observables[base] = by_name[name] + 1j * by_name[base + "_im"]
-            consumed |= {name, base + "_im"}
-        elif name.endswith("_im") and name[:-3] + "_re" in by_name:
-            continue
-        else:
-            observables[name] = by_name[name]
+    try:
+        roles = _column_roles(names)
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
 
     try:
         return TrajectoryRecord(
-            times=by_name["t"],
-            norms_pre_renorm=by_name["norm_pre"],
-            observables=observables,
-            branch_weights={
-                n[len("branch_"):]: v for n, v in by_name.items()
-                if n.startswith("branch_")
+            times=columns[roles.t],
+            norms_pre_renorm=columns[roles.norm_pre],
+            observables={
+                name: columns[re] if im is None else columns[re] + 1j * columns[im]
+                for name, re, im in roles.observables
             },
-            entropy_series={
-                n[len("entropy_"):]: v for n, v in by_name.items()
-                if n.startswith("entropy_")
-            },
+            branch_weights={label: columns[i] for label, i in roles.branches},
+            entropy_series={name: columns[i] for name, i in roles.entropies},
             final_state=None,
             seed=int(meta["seed"]),
             plan=plan,
             collapsed_branch=meta.get("collapsed_branch"),
             collapse_step=meta.get("collapse_step"),
-            qv_series={
-                n[len("qv_"):]: v for n, v in by_name.items() if n.startswith("qv_")
-            },
+            qv_series={name: columns[i] for name, i in roles.qvs},
         )
     except (DimensionError, NumericalError) as exc:
         raise PersistError(f"{path}: {exc}") from None
 
 
-def _read_csv(path: Path, meta: dict, plan: IntegrationPlan) -> dict[str, np.ndarray]:
-    raw = path.read_bytes()
+class _ColumnRoles(NamedTuple):
+    """Column index of each series of a :class:`TrajectoryRecord`: the
+    groups hold (key, index) pairs, an observable (name, re, im) with
+    ``im`` None for a real one."""
+
+    t: int
+    norm_pre: int
+    observables: tuple[tuple[str, int, int | None], ...]
+    branches: tuple[tuple[str, int], ...]
+    entropies: tuple[tuple[str, int], ...]
+    qvs: tuple[tuple[str, int], ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _column_roles(names: tuple[str, ...]) -> _ColumnRoles:
+    """The roles of the columns ``names`` of a trajectory table.  A repeated
+    name stands for its last column; ``x_re`` and ``x_im`` make the complex
+    observable ``x``.  Raises ValueError without a ``t`` or ``norm_pre``
+    column.  Cached: every row of an ensemble has the same columns."""
+    index = dict(zip(names, range(len(names))))
+    missing = [n for n in ("t", "norm_pre") if n not in index]
+    if missing:
+        raise ValueError(f"no {' or '.join(missing)} column")
+    observables: dict[str, tuple[int, int | None]] = {}
+    consumed = {"t", "norm_pre"}
+    for name in index:
+        if name in consumed or name.startswith(("branch_", "entropy_", "qv_")):
+            continue
+        if name.endswith("_re") and name[:-3] + "_im" in index:
+            base = name[:-3]
+            observables[base] = (index[name], index[base + "_im"])
+            consumed |= {name, base + "_im"}
+        elif name.endswith("_im") and name[:-3] + "_re" in index:
+            continue
+        else:
+            observables[name] = (index[name], None)
+
+    def group(prefix):
+        return tuple((n[len(prefix):], i) for n, i in index.items() if n.startswith(prefix))
+
+    return _ColumnRoles(
+        t=index["t"],
+        norm_pre=index["norm_pre"],
+        observables=tuple((name, *where) for name, where in observables.items()),
+        branches=group("branch_"),
+        entropies=group("entropy_"),
+        qvs=group("qv_"),
+    )
+
+
+def _read_csv(path, meta: dict, plan: IntegrationPlan) -> tuple[tuple[str, ...], np.ndarray]:
+    """(names, (n_columns, n_records) series) of a trajectory CSV."""
+    with open(path, "rb") as f:
+        raw = f.read()
     if _sha256(raw) != meta["sha256"]:
         raise PersistError(f"{path}: content does not match the manifest hash")
     lines = raw.decode("utf-8").strip().split("\n")
     if not lines or not lines[0].startswith("t,norm_pre"):
         raise PersistError(f"{path}: not a trajectory CSV")
-    header = lines[0].split(",")
+    header = tuple(lines[0].split(","))
     try:
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     except ValueError as exc:
@@ -438,17 +508,21 @@ def _read_csv(path: Path, meta: dict, plan: IntegrationPlan) -> dict[str, np.nda
         raise PersistError(
             f"{path}: {data.shape[0]} rows, but the plan records {plan.n_records}"
         )
-    return {name: data[:, i] for i, name in enumerate(header)}
+    return header, data.T
 
 
+_NPY_MAGIC = np.lib.format.magic(1, 0)
 _NPY_PREFIX = 10  # magic string, version, and the length of a 1.0 header
 
 
-def _read_array_row(path: Path, meta: dict, plan: IntegrationPlan) -> dict[str, np.ndarray]:
-    """Columns of row ``meta["row"]`` of an ensemble array."""
-    with path.open("rb") as f:
+def _read_array_row(path, meta: dict,
+                    plan: IntegrationPlan) -> tuple[tuple[str, ...], np.ndarray]:
+    """(names, (n_columns, n_records) series) of row ``meta["row"]`` of an
+    ensemble array.  The file is read unbuffered: the prefix, the header
+    and the row, nothing else."""
+    with open(path, "rb", buffering=0) as f:
         prefix = f.read(_NPY_PREFIX)
-        if len(prefix) != _NPY_PREFIX or prefix[:-2] != np.lib.format.magic(1, 0):
+        if len(prefix) != _NPY_PREFIX or prefix[:-2] != _NPY_MAGIC:
             raise PersistError(f"{path}: not a version 1.0 .npy file")
         header = f.read(int.from_bytes(prefix[-2:], "little"))
         try:
@@ -462,16 +536,17 @@ def _read_array_row(path: Path, meta: dict, plan: IntegrationPlan) -> dict[str, 
                 f"{path}: {n_values} records, but the plan records {plan.n_records}"
             )
         row = meta["row"]
-        if not (isinstance(row, int) and 0 <= row < n_rows):
+        if not (type(row) is int and 0 <= row < n_rows):
             raise PersistError(f"{path}: row {row!r} is not among its {n_rows} rows")
         size = 8 * len(names) * n_values
-        f.seek(row * size, os.SEEK_CUR)
+        f.seek(_NPY_PREFIX + len(header) + row * size)
         data = bytearray(size)
+        # a raw read of a regular file comes up short only at its end
         if f.readinto(data) != size:
             raise PersistError(f"{path}: truncated in row {row}")
     if _sha256(data) != meta["sha256"]:
         raise PersistError(f"{path}: row {row} does not match the manifest hash")
-    return dict(zip(names, np.frombuffer(data, "<f8").reshape(len(names), n_values)))
+    return names, np.frombuffer(data, "<f8").reshape(len(names), n_values)
 
 
 @functools.lru_cache(maxsize=16)

@@ -19,7 +19,7 @@ from collapse_lab.persist import (
     persist_run,
     trajectory_csv_text,
 )
-from collapse_lab.scenarios import builtin_scenario, realize
+from collapse_lab.scenarios import builtin_names, builtin_scenario, realize
 
 
 def small_qnd_config():
@@ -66,6 +66,29 @@ class TestPersist:
         rec2 = run_trajectory(sc, seed=10)
         with pytest.raises(PersistError):
             persist_run([rec2], build_manifest(cfg, [10], "trajectory"), out)
+
+    def test_refusal_names_what_differs(self, tmp_path):
+        cfg = small_qnd_config()
+        sc = realize(cfg)
+        rec = run_trajectory(sc, seed=9)
+        out = tmp_path / "run"
+        persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["artifacts"]["summary.json"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(PersistError,
+                           match=r"\(differs in artifacts summary\.json\); refusing"):
+            persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+        rec2 = run_trajectory(sc, seed=10)
+        with pytest.raises(PersistError, match=(
+                r"differs in seeds \[9\] vs \[10\]; artifacts summary\.json, "
+                r"trajectory_seed10\.csv, trajectory_seed9\.csv\)")):
+            persist_run([rec2], build_manifest(cfg, [10], "trajectory"), out)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_plan_dict_is_asdict(self, name):
+        plan = realize(builtin_scenario(name)).plan
+        assert persist._plan_dict(plan) == asdict(plan)
 
     def test_corrupt_manifest_not_overwritten(self, tmp_path):
         out = tmp_path / "run"
@@ -396,6 +419,82 @@ class TestEnsembleArray:
             "sx" if c == "sz" else c for c in metas[0]["columns"]]})
         with pytest.raises(PersistError, match="columns"):
             load_trajectory_csv(path, metas[0])
+
+    def test_bad_magic_or_version_refused(self, tmp_path):
+        _, _, out = small_ensemble(tmp_path)
+        meta = load_manifest(out).trajectories[0]
+        path = out / "trajectories.npy"
+        original = path.read_bytes()
+        for damaged in (b"\x93NUMPX" + original[6:], b"\x93NUMPY\x02\x00" + original[8:],
+                        original[:9]):
+            path.write_bytes(damaged)
+            with pytest.raises(PersistError, match="not a version 1.0 .npy file"):
+                load_trajectory_csv(path, meta)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"'fortran_order': False", b"'fortran_order': True "),
+        (b"('t', '<f8'", b"('t', '>f8'"),
+        (b"('t', '<f8'", b"('t', '<f4'"),
+    ])
+    def test_header_not_a_float64_table_refused(self, tmp_path, old, new):
+        _, _, out = small_ensemble(tmp_path)
+        meta = load_manifest(out).trajectories[0]
+        path = out / "trajectories.npy"
+        original = path.read_bytes()
+        assert original.count(old) == 1
+        path.write_bytes(original.replace(old, new))
+        with pytest.raises(PersistError, match="not a table of float64 trajectory series"):
+            load_trajectory_csv(path, meta)
+
+    def test_record_count_must_be_the_plans(self, tmp_path):
+        _, _, out = small_ensemble(tmp_path)
+        meta = load_manifest(out).trajectories[0]
+        plan = {**meta["plan"], "n_steps": 2 * meta["plan"]["n_steps"]}
+        with pytest.raises(PersistError, match="9 records, but the plan records 17"):
+            load_trajectory_csv(out / meta["file"], {**meta, "plan": plan})
+
+    def test_row_must_be_an_int_in_range(self, tmp_path):
+        _, _, out = small_ensemble(tmp_path)
+        metas = load_manifest(out).trajectories
+        # True would read row 1, whose hash is the one in metas[1]
+        for meta, row in ((metas[1], True), (metas[0], -1), (metas[2], "2"),
+                          (metas[2], 2.0)):
+            with pytest.raises(PersistError, match=f"row {row!r} is not among its 5 rows"):
+                load_trajectory_csv(out / meta["file"], {**meta, "row": row})
+
+    def test_complex_and_qv_columns_round_trip(self, tmp_path):
+        d = builtin_scenario("two-particle-collision").to_dict()
+        d["plan"].update({"n_steps": 40, "record_every": 10})
+        cfg = from_dict(d)
+        stats, recs = cl.run_ensemble(realize(cfg), 3, 0, keep_records=True)
+        out = tmp_path / "collision"
+        persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"), out,
+                    stats=stats)
+        metas = load_manifest(out).trajectories
+        assert {"tshift_re", "tshift_im", "qv_energy"} <= set(metas[0]["columns"])
+        for rec, meta in zip(recs, metas):
+            stored = load_trajectory_csv(out / meta["file"], meta)
+            assert np.iscomplexobj(stored.observables["tshift"])
+            expected, got = _series(rec), _series(stored)
+            assert expected.keys() == got.keys()
+            for k in expected:
+                assert np.array_equal(expected[k], got[k]), k
+
+    def test_column_roles_of_ambiguous_names(self):
+        roles = persist._column_roles((
+            "t", "norm_pre", "a_re", "a_im", "b_im", "c_re", "branch_up", "x",
+            "x_re", "x_im", "entropy_s", "qv_e", "branch_down"))
+        assert (roles.t, roles.norm_pre) == (0, 1)
+        # a lone _re or _im column is a real observable; a pair overrides
+        # an earlier real column of its base name, in that column's place
+        assert roles.observables == (("a", 2, 3), ("b_im", 4, None), ("c_re", 5, None),
+                                     ("x", 8, 9))
+        assert roles.branches == (("up", 6), ("down", 12))
+        assert (roles.entropies, roles.qvs) == ((("s", 10),), (("e", 11),))
+        # a repeated name stands for its last column
+        assert persist._column_roles(("t", "norm_pre", "t")).t == 2
+        with pytest.raises(ValueError, match="no norm_pre column"):
+            persist._column_roles(("t", "x"))
 
     def test_schema_2_csv_directory_still_audits(self, tmp_path):
         # the layout written before the ensemble array: one CSV per trajectory
