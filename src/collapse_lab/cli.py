@@ -258,12 +258,11 @@ def _cmd_audit(args) -> int:
     quantities = scenario.quantities
     if not quantities:
         raise ConfigError(["config declares no audits; nothing to certify"])
-    records = []
-    for meta in manifest.trajectories:
-        fpath = run_dir / meta["file"]
-        if not fpath.exists():
-            raise PersistError(f"missing trajectory artifact {fpath}")
-        records.append(load_trajectory_csv(fpath, meta))
+    # a missing artifact raises OSError naming it, in load_trajectory_csv
+    paths = {name: run_dir / name
+             for name in {meta["file"] for meta in manifest.trajectories}}
+    records = [load_trajectory_csv(paths[meta["file"]], meta)
+               for meta in manifest.trajectories]
     if not records:
         raise PersistError("run contains no stored trajectories to audit")
 

@@ -20,8 +20,9 @@ equation  d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}, which
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -296,13 +297,15 @@ def run_trajectory(
     """
     sc = _ensure_realized(scenario)
     seed = sc.plan.seed if seed is None else seed
-    return _run_chunk_batched(sc, [seed], record_states)[0]
+    return _records(sc, [seed], _run_chunk_batched(sc, [seed], record_states))[0]
 
 
 @dataclass(eq=False)
 class EnsembleStats:
     """Per-time-point statistics over independent trajectories.
 
+    Column reductions of each chunk's (b, n_records) blocks: means,
+    one-pass variances over n - 1 and standard errors sqrt(var / n).
     Outcome counts tally the collapse flag ('uncollapsed' for trajectories
     that never crossed the threshold).  ``mean_density`` is the averaged
     projector at each recorded time when density recording was requested.
@@ -347,28 +350,73 @@ def run_ensemble(
     """Run ``n_traj`` trajectories with seeds base_seed + index.
 
     Trajectories run in lock-step chunks of at most ``BATCH_AMPLITUDES``
-    amplitudes and are reduced in seed order, so results are reproducible.
-    Returns (stats, records); ``records`` is empty unless ``keep_records``.
+    amplitudes, whose blocks are summed column by column in seed order, so
+    results are reproducible; several chunks differ from one only by the
+    reassociation of the sums.  Returns (stats, records); ``records`` is
+    empty, and no record is built, unless ``keep_records``.
     """
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
     sc = _ensure_realized(scenario)
-    if record_density and sc.space.total_dim > 64:
+    d = sc.space.total_dim
+    if record_density and d > 64:
         raise DimensionError(
             "density recording is limited to total_dim <= 64; average "
             "projectors of larger systems are not materialized"
         )
 
     seeds = ensemble_seeds(base_seed, n_traj)
-    acc = _EnsembleAccumulator(sc, record_density)
-    records: list[TrajectoryRecord] = []
-    chunk = max(1, BATCH_AMPLITUDES // sc.space.total_dim)
-    for start in range(0, n_traj, chunk):
-        for rec in _run_chunk_batched(sc, seeds[start:start + chunk], record_density):
-            acc.add(rec)
-            if keep_records:
-                records.append(rec)
-    return acc.finish(base_seed), records
+    size = max(1, BATCH_AMPLITUDES // d)
+    # column totals of the series and of their squared moduli, from 0.0
+    # as a row-by-row sum: a column of -0.0 totals +0.0
+    obs_sum, obs_sq, w_sum, w_sq, ent_sum = (defaultdict(float) for _ in range(5))
+    labels = [*(br.label for br in sc.branches), "uncollapsed"]  # [-1]: none
+    outcomes: Counter[str] = Counter()
+    drift, records = [], []
+    density = np.zeros((sc.plan.n_records, d, d), complex) if record_density else None
+    for part in (seeds[i:i + size] for i in range(0, n_traj, size)):
+        chunk = _run_chunk_batched(sc, part, record_density)
+        for sums, sq, blocks in ((obs_sum, obs_sq, chunk.observables),
+                                 (w_sum, w_sq, chunk.branch_weights)):
+            for k, block in blocks.items():
+                sums[k] += block.sum(axis=0)
+                sq[k] += (np.abs(block) ** 2).sum(axis=0)
+        for k, block in chunk.entropies.items():
+            ent_sum[k] += block.sum(axis=0)
+        outcomes.update(labels[i] for i in chunk.collapse_branch.tolist())
+        drift.append(chunk.drift_mean)
+        if density is not None:
+            density += np.einsum("bti,btj->tij", chunk.states, chunk.states.conj())
+        if keep_records:
+            records.extend(_records(sc, part, chunk))
+
+    obs_mean, obs_var, obs_se = _moments(obs_sum, obs_sq, n_traj)
+    w_mean, _, w_se = _moments(w_sum, w_sq, n_traj)
+    drift = np.concatenate(drift)
+    return EnsembleStats(
+        times=chunk.times,  # the same in every chunk
+        n_traj=n_traj,
+        observable_mean=obs_mean,
+        observable_var=obs_var,
+        observable_stderr=obs_se,
+        branch_weight_mean=w_mean,
+        branch_weight_stderr=w_se,
+        entropy_mean={k: s / n_traj for k, s in ent_sum.items()},
+        outcome_counts=dict(sorted(outcomes.items())),
+        norm_drift_mean=float(drift.mean()),
+        norm_drift_stderr=float(np.std(drift, ddof=1) / np.sqrt(n_traj)),
+        mean_density=None if density is None else density / n_traj,
+        base_seed=base_seed,
+    ), records
+
+
+def _moments(sums: dict, sq_sums: dict, n: int) -> tuple[dict, dict, dict]:
+    """Mean, one-pass variance (over n - 1) and standard error of each
+    series from its column totals over ``n`` trajectories."""
+    mean = {k: s / n for k, s in sums.items()}
+    var = {k: np.maximum(sq_sums[k] / n - np.abs(m) ** 2, 0.0) * n / (n - 1)
+           for k, m in mean.items()}
+    return mean, var, {k: np.sqrt(v / n) for k, v in var.items()}
 
 
 # Blocks of states larger than this many amplitudes drop out of the CPU
@@ -381,10 +429,57 @@ BATCH_AMPLITUDES = 1 << 15
 NOISE_INCREMENTS = 1 << 18
 
 
+class _Chunk(NamedTuple):
+    """The arrays of trajectories integrated together: the record times,
+    (b, n_records) series keyed as in :class:`TrajectoryRecord`, and per
+    row the collapse step and branch index (-1 if none), the mean of
+    (norm - 1) over every step, the final state and, if recorded, the
+    (n_records, d) states."""
+
+    times: np.ndarray
+    norms: np.ndarray
+    observables: dict[str, np.ndarray]
+    branch_weights: dict[str, np.ndarray]
+    entropies: dict[str, np.ndarray]
+    qv: dict[str, np.ndarray]
+    psi: np.ndarray
+    collapse_step: np.ndarray
+    collapse_branch: np.ndarray
+    drift_mean: np.ndarray
+    states: np.ndarray | None
+
+
+def _records(sc: RealizedScenario, seeds: list[int],
+             chunk: _Chunk) -> list[TrajectoryRecord]:
+    """One :class:`TrajectoryRecord` per row of the chunk run for
+    ``seeds``.  Its series are views of the chunk's rows, so that a chunk
+    of thousands of trajectories is not held twice."""
+    labels = [*(br.label for br in sc.branches), None]  # [-1]: none
+    steps = [None if s < 0 else s for s in chunk.collapse_step.tolist()]
+    return [
+        TrajectoryRecord(
+            times=chunk.times.copy(),
+            norms_pre_renorm=chunk.norms[i],
+            observables={k: a[i] for k, a in chunk.observables.items()},
+            branch_weights={k: a[i] for k, a in chunk.branch_weights.items()},
+            entropy_series={k: a[i] for k, a in chunk.entropies.items()},
+            final_state=StateVector(sc.space, chunk.psi[i]),
+            seed=seed,
+            plan=replace(sc.plan, seed=seed),
+            collapsed_branch=labels[chunk.collapse_branch[i]],
+            collapse_step=steps[i],
+            norm_drift_mean=float(chunk.drift_mean[i]),
+            qv_series={k: a[i] for k, a in chunk.qv.items()},
+            states=None if chunk.states is None else chunk.states[i],
+        )
+        for i, seed in enumerate(seeds)
+    ]
+
+
 def _run_chunk_batched(
     sc: RealizedScenario, seeds: list[int], record_states: bool
-) -> list[TrajectoryRecord]:
-    """Integrate a block of trajectories in lock-step.
+) -> _Chunk:
+    """Integrate a block of trajectories in lock-step and return its arrays.
 
     Each trajectory consumes its own generator stream, seeded by its seed,
     so a trajectory does not depend on the batch it runs in beyond
@@ -491,107 +586,8 @@ def _run_chunk_batched(
             record(idx, nrm)
             idx += 1
 
-    out = []
-    for i, seed in enumerate(seeds):
-        cb = None if collapse_branch[i] < 0 else sc.branches[collapse_branch[i]].label
-        cs = None if collapse_step[i] < 0 else int(collapse_step[i])
-        out.append(
-            TrajectoryRecord(
-                times=times.copy(),
-                # rows of the chunk's arrays: views, so that a chunk of
-                # thousands of trajectories is not held twice
-                norms_pre_renorm=norms[i],
-                observables={k: a[i] for k, a in obs.items()},
-                branch_weights={k: a[i] for k, a in weights.items()},
-                entropy_series={k: a[i] for k, a in entropies.items()},
-                final_state=StateVector(sc.space, psi[i]),
-                seed=seed,
-                plan=replace(plan, seed=seed),
-                collapsed_branch=cb,
-                collapse_step=cs,
-                norm_drift_mean=float(drift_sum[i]) / plan.n_steps,
-                qv_series={k: a[i] for k, a in qv.items()},
-                states=None if states is None else states[i],
-            )
-        )
-    return out
-
-
-class _EnsembleAccumulator:
-    """Fixed-order streaming moments for ensemble statistics."""
-
-    def __init__(self, sc: RealizedScenario, record_density: bool):
-        self.sc = sc
-        n_rec = sc.plan.n_records
-        self.n = 0
-        self.obs_sum = {
-            o.name: np.zeros(n_rec, dtype=complex if o.is_complex else float)
-            for o in sc.observables
-        }
-        self.obs_sumsq = {o.name: np.zeros(n_rec) for o in sc.observables}
-        self.w_sum = {b.label: np.zeros(n_rec) for b in sc.branches}
-        self.w_sumsq = {b.label: np.zeros(n_rec) for b in sc.branches}
-        self.ent_sum = {}
-        self.outcomes: dict[str, int] = {}
-        self.drift_vals: list[float] = []
-        self.times = None
-        self.density = None
-        if record_density:
-            d = sc.space.total_dim
-            self.density = np.zeros((n_rec, d, d), dtype=np.complex128)
-        self.record_density = record_density
-
-    def add(self, rec: TrajectoryRecord):
-        self.n += 1
-        if self.times is None:
-            self.times = rec.times
-            self.ent_sum = {k: np.zeros_like(v) for k, v in rec.entropy_series.items()}
-        for k, v in rec.observables.items():
-            self.obs_sum[k] += v
-            self.obs_sumsq[k] += np.abs(v) ** 2
-        for k, v in rec.branch_weights.items():
-            self.w_sum[k] += v
-            self.w_sumsq[k] += v**2
-        for k, v in rec.entropy_series.items():
-            self.ent_sum[k] += v
-        label = rec.collapsed_branch or "uncollapsed"
-        self.outcomes[label] = self.outcomes.get(label, 0) + 1
-        self.drift_vals.append(rec.norm_drift_mean)
-        if self.record_density:
-            if rec.states is None:
-                raise NumericalError("density recording needs per-record states")
-            self.density += np.einsum("ti,tj->tij", rec.states, rec.states.conj())
-
-    def finish(self, base_seed: int) -> EnsembleStats:
-        n = self.n
-        mean, var, se = {}, {}, {}
-        for k, s in self.obs_sum.items():
-            m = s / n
-            v = np.maximum(self.obs_sumsq[k] / n - np.abs(m) ** 2, 0.0)
-            v = v * n / max(n - 1, 1)
-            mean[k], var[k], se[k] = m, v, np.sqrt(v / n)
-        wmean, wse = {}, {}
-        for k, s in self.w_sum.items():
-            m = s / n
-            v = np.maximum(self.w_sumsq[k] / n - m**2, 0.0) * n / max(n - 1, 1)
-            wmean[k], wse[k] = m, np.sqrt(v / n)
-        drift = np.asarray(self.drift_vals)
-        drift_se = float(np.std(drift, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return EnsembleStats(
-            times=self.times,
-            n_traj=n,
-            observable_mean=mean,
-            observable_var=var,
-            observable_stderr=se,
-            branch_weight_mean=wmean,
-            branch_weight_stderr=wse,
-            entropy_mean={k: v / n for k, v in self.ent_sum.items()},
-            outcome_counts=dict(sorted(self.outcomes.items())),
-            norm_drift_mean=float(drift.mean()),
-            norm_drift_stderr=drift_se,
-            mean_density=None if self.density is None else self.density / n,
-            base_seed=base_seed,
-        )
+    return _Chunk(times, norms, obs, weights, entropies, qv, psi, collapse_step,
+                  collapse_branch, drift_sum / plan.n_steps, states)
 
 
 # --------------------------------------------------------------------------

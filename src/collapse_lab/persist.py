@@ -6,13 +6,14 @@ A trajectory is stored as a table with the stable columns
 ``branch_<label>``, entropies as ``entropy_<partition>``, and tracked
 quadratic variations as ``qv_<name>``.
 
-- A ``run`` writes ``trajectory_seed<seed>.csv`` with that header.  Floats
-  are written with shortest round-trip repr, so identical (config, seed)
-  runs produce byte-identical files on one platform.
-- An ensemble that keeps its trajectories writes them all to one
-  ``trajectories.npy``: a version 1.0 ``.npy`` array with one row per
-  trajectory in seed order, whose float64 fields are the columns, each
-  holding the series of one column.
+- A ``run`` writes ``trajectory_seed<seed>.csv`` with that header, and
+  ``summary.json``.  Floats are written with shortest round-trip repr, so
+  identical (config, seed) runs produce byte-identical files on one
+  platform.
+- An ensemble writes its statistics to ``ensemble.json``.  One that keeps
+  its trajectories writes them all to one ``trajectories.npy``: a version
+  1.0 ``.npy`` array with one row per trajectory in seed order, whose
+  float64 fields are the columns, each holding the series of one column.
 
 The manifest records the sha256 of every artifact.  For the ensemble
 array it also records each trajectory's row, the columns and the sha256
@@ -304,9 +305,10 @@ def persist_run(
     """Write run artifacts under ``out_dir`` and return the file map.
 
     The manifest's ``artifacts`` and trajectory entries record each file's
-    sha256.  A trajectory run stores each record as a CSV; the
-    trajectories of an ensemble go to rows of :data:`ENSEMBLE_ARRAY`,
-    whose entries record their row, the columns and the row's sha256.
+    sha256.  A trajectory run stores each record as a CSV, and
+    ``summary.json``; an ensemble, given ``stats``, stores ``ensemble.json``
+    and its trajectories as rows of :data:`ENSEMBLE_ARRAY`, whose entries
+    record their row, the columns and the row's sha256.
     Artifacts are staged in temporary files and moved into place,
     manifest last.  A re-run of the same run is a no-op when the files on
     disk still match their hashes and rewrites them otherwise; a
@@ -355,13 +357,14 @@ def persist_run(
                 data = trajectory_csv_text(rec).encode("utf-8")
                 stage(name, lambda f: f.write(data))
                 entry.update(file=name, sha256=hashes[name])
-        summary = {
-            "schema_version": 1,
-            "config_hash": manifest.config_hash,
-            "runs": [_summary_dict(rec) for rec in records],
-        }
-        stage("summary.json", lambda f: f.write(_json_bytes(summary)))
-        if stats is not None:
+        if stats is None:
+            summary = {
+                "schema_version": 1,
+                "config_hash": manifest.config_hash,
+                "runs": [_summary_dict(rec) for rec in records],
+            }
+            stage("summary.json", lambda f: f.write(_json_bytes(summary)))
+        else:
             plan = records[0].plan if records else IntegrationPlan(
                 **manifest.config["plan"]
             )

@@ -186,7 +186,7 @@ class TestRunEnsemble:
                 batched.observables["sz"], serial.observables["sz"], atol=1e-12
             )
 
-    def test_parallel_workers_reduce_identically(self, monkeypatch):
+    def test_chunked_ensemble_reduces_like_one_chunk(self, monkeypatch):
         # trajectories integrated together in one chunk or split over
         # several chunks reduce to the same statistics, in seed order
         sc = realize(builtin_scenario("qnd-two-level"))
@@ -206,9 +206,10 @@ class TestRunEnsemble:
                 rtol=0.0, atol=1e-12,
             )
 
-    def test_thread_env_var_caps_parallelism(self, monkeypatch):
+    def test_chunk_size_capped_by_batch_amplitudes(self, monkeypatch):
         # the number of trajectories integrated together is capped by
-        # BATCH_AMPLITUDES; the retired COLLAPSE_LAB_THREADS changes nothing
+        # BATCH_AMPLITUDES alone: setting COLLAPSE_LAB_THREADS, which no
+        # code reads, changes neither the chunks nor the statistics
         sc = realize(builtin_scenario("qnd-two-level"))
         import dataclasses
 
@@ -499,3 +500,143 @@ def test_first_branch_wins_when_two_cross_the_threshold():
                                  Branch("c", np.array([2]))])
     rec = run_trajectory(sc)
     assert (rec.collapse_step, rec.collapsed_branch) == (0, "b")
+
+
+def reference_stats(recs, record_density: bool) -> dict:
+    """Every EnsembleStats field from kept records, summed one record at a
+    time in seed order from zero, with the one-pass variance."""
+    n = len(recs)
+
+    def moments(series):
+        total, total_sq = np.zeros_like(series[0]), np.zeros(len(series[0]))
+        for v in series:
+            total += v
+            total_sq += np.abs(v) ** 2
+        m = total / n
+        var = np.maximum(total_sq / n - np.abs(m) ** 2, 0.0) * n / (n - 1)
+        return m, var, np.sqrt(var / n)
+
+    ref = {name: {} for name in (
+        "observable_mean", "observable_var", "observable_stderr",
+        "branch_weight_mean", "branch_weight_stderr", "entropy_mean")}
+    for k in recs[0].observables:
+        (ref["observable_mean"][k], ref["observable_var"][k],
+         ref["observable_stderr"][k]) = moments([r.observables[k] for r in recs])
+    for k in recs[0].branch_weights:
+        m, _, se = moments([r.branch_weights[k] for r in recs])
+        ref["branch_weight_mean"][k], ref["branch_weight_stderr"][k] = m, se
+    for k in recs[0].entropy_series:
+        total = np.zeros(len(recs[0].times))
+        for r in recs:
+            total += r.entropy_series[k]
+        ref["entropy_mean"][k] = total / n
+    outcomes = {}
+    for r in recs:
+        label = r.collapsed_branch or "uncollapsed"
+        outcomes[label] = outcomes.get(label, 0) + 1
+    ref["outcome_counts"] = dict(sorted(outcomes.items()))
+    drift = np.asarray([r.norm_drift_mean for r in recs])
+    ref["norm_drift_mean"] = float(drift.mean())
+    ref["norm_drift_stderr"] = float(np.std(drift, ddof=1) / np.sqrt(n))
+    ref["mean_density"] = None
+    if record_density:
+        n_rec, d = recs[0].states.shape
+        density = np.zeros((n_rec, d, d), dtype=complex)
+        for r in recs:
+            density += np.einsum("ti,tj->tij", r.states, r.states.conj())
+        ref["mean_density"] = density / n
+    return ref
+
+
+def stats_scenario(name: str):
+    """A scenario whose ensemble fills every EnsembleStats field: real,
+    complex and width observables, three branches of which several
+    collapse, an entropy and a tracked quadratic variation."""
+    if name != "random":
+        d = builtin_scenario(name).to_dict()
+        d["plan"].update({"n_steps": 600, "record_every": 50})
+        return realize(from_dict(d))
+    rng = np.random.default_rng(12)
+    space = cl.CompositeSpace([cl.discrete("a", 2), cl.discrete("b", 3)])
+    d = space.total_dim
+    h = random_hermitian(rng, d, 0.2)
+    v = np.diag(rng.uniform(-3.0, 3.0, d)).astype(complex)
+    plan = IntegrationPlan(dt=5e-3, n_steps=300, seed=0, record_every=30,
+                           collapse_threshold=0.95)
+    return make_realized(
+        space, h, v, random_state(rng, d), plan,
+        observables=[Observable("h", AssembledOperator(space, h)),
+                     Observable("shift", AssembledOperator(
+                         space, np.roll(np.eye(d), 1, axis=0).astype(complex),
+                         hermitian=False)),
+                     Observable("v_width", AssembledOperator(space, v), kind="width")],
+        branches=[Branch("lo", np.arange(2)), Branch("mid", np.arange(2, 4)),
+                  Branch("hi", np.arange(4, d))],
+        bipartitions=[cl.Bipartition.of(space, {"a"})],
+        qv_tracks=["h"],
+    )
+
+
+@pytest.mark.parametrize("name", ["random", "qnd-two-level"])
+def test_ensemble_stats_match_seed_order_reference(monkeypatch, name):
+    # One chunk: every field is the record-by-record reduction, bit for
+    # bit.  Several chunks (of 2 rows, the last of 1) reassociate the sums
+    # only.  They keep every series of qnd-two-level, whose operators are
+    # diagonal; a CSR product changes a batch of one by rounding.  A
+    # standard error is the root of a one-pass variance, so where every
+    # trajectory agrees (t = 0) a 1e-17 rounding difference of that
+    # variance is 3e-9 in the error: standard errors are compared squared.
+    sc = stats_scenario(name)
+    stats, recs = run_ensemble(sc, 9, base_seed=20, record_density=True,
+                               keep_records=True)
+    ref = reference_stats(recs, record_density=True)
+    assert len(ref["outcome_counts"]) >= 2
+    assert all(ref[k] for k in ref if isinstance(ref[k], dict))
+    assert np.array_equal(stats.times, recs[0].times)
+    assert (stats.n_traj, stats.base_seed) == (9, 20)
+    assert stats.outcome_counts == ref.pop("outcome_counts")
+    for key, expected in ref.items():
+        got = getattr(stats, key)
+        if isinstance(expected, dict):
+            assert got.keys() == expected.keys(), key
+            for k in expected:
+                assert np.array_equal(got[k], expected[k]), (key, k)
+        else:
+            assert type(got) is type(expected) and np.array_equal(got, expected), key
+
+    monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 2 * sc.space.total_dim)
+    chunked, chunked_recs = run_ensemble(sc, 9, base_seed=20, record_density=True,
+                                         keep_records=True)
+    if name == "random":
+        for one, rec in zip(chunked_recs, recs):
+            assert_same_trajectory(one, rec)
+    else:
+        assert [trajectory_csv_text(r) for r in chunked_recs] == [
+            trajectory_csv_text(r) for r in recs]
+    ref = reference_stats(chunked_recs, record_density=True)
+    assert chunked.outcome_counts == ref.pop("outcome_counts")
+    for key, expected in ref.items():
+        got = getattr(chunked, key)
+        pairs = ([(got[k], expected[k]) for k in expected]
+                 if isinstance(expected, dict) else [(got, expected)])
+        for a, b in pairs:
+            if key.endswith("_stderr"):
+                a, b = np.square(a), np.square(b)
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12), key
+
+
+def test_unkept_ensemble_builds_no_records(monkeypatch):
+    sc = stats_scenario("qnd-two-level")
+    kept, _ = run_ensemble(sc, 6, base_seed=1, keep_records=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a per-trajectory object")
+
+    monkeypatch.setattr(integrator, "TrajectoryRecord", refuse)
+    monkeypatch.setattr(integrator, "StateVector", refuse)
+    stats, recs = run_ensemble(sc, 6, base_seed=1)
+    assert recs == []
+    assert stats.outcome_counts == kept.outcome_counts
+    assert np.array_equal(stats.observable_mean["sz"], kept.observable_mean["sz"])
+    with pytest.raises(AssertionError, match="per-trajectory"):
+        run_ensemble(sc, 6, base_seed=1, keep_records=True)

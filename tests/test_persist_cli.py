@@ -202,6 +202,47 @@ class TestCli:
         report = json.loads((out / "audit.json").read_text())
         assert report["passed"] is True
 
+    def test_artifacts_of_each_command(self, tmp_path, capsys):
+        # an ensemble's statistics are ensemble.json: it writes no
+        # summary.json; a run does, with its collapse and terminal values
+        cfg_path = self.write_config(tmp_path)
+        listing = {}
+        for name, extra in (("run", ["run", "--seed", "4"]),
+                            ("ens", ["ensemble", "--n-traj", "6"]),
+                            ("kept", ["ensemble", "--n-traj", "6", "--keep-trajectories"])):
+            out = tmp_path / name
+            assert cli_run([*extra, "--config", str(cfg_path), "--out-dir", str(out),
+                            "--quiet"]) == 0
+            listing[name] = sorted(p.name for p in out.iterdir())
+            assert set(load_manifest(out).artifacts) == set(listing[name]) - {
+                "manifest.json"}
+        assert listing == {
+            "run": ["manifest.json", "summary.json", "trajectory_seed4.csv"],
+            "ens": ["ensemble.json", "manifest.json"],
+            "kept": ["ensemble.json", "manifest.json", "trajectories.npy"],
+        }
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert [r["seed"] for r in summary["runs"]] == [4]
+        capsys.readouterr()
+        assert cli_run(["audit", "--run-dir", str(tmp_path / "ens"), "--quiet"]) == 2
+        assert "no stored trajectories" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, artifact", [
+        (["ensemble", "--n-traj", "4", "--keep-trajectories"], "trajectories.npy"),
+        (["run", "--seed", "2"], "trajectory_seed2.csv"),
+    ])
+    def test_missing_artifact_exits_two_naming_it(self, tmp_path, capsys, command,
+                                                   artifact):
+        cfg_path = self.write_config(tmp_path)
+        out = tmp_path / "stored"
+        assert cli_run([*command, "--config", str(cfg_path), "--out-dir", str(out),
+                        "--quiet"]) == 0
+        (out / artifact).unlink()
+        capsys.readouterr()
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(out / artifact) in err and not (out / "audit.json").exists()
+
     def test_truncated_csv_refused(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
         out = tmp_path / "ens"
@@ -367,7 +408,7 @@ class TestEnsembleArray:
         _, recs, out = small_ensemble(tmp_path)
         manifest = load_manifest(out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "ensemble.json", "manifest.json", "summary.json", "trajectories.npy"]
+            "ensemble.json", "manifest.json", "trajectories.npy"]
         assert manifest.artifacts["trajectories.npy"] == _sha256(out / "trajectories.npy")
         array = np.load(out / "trajectories.npy")
         assert array.shape == (5,)
@@ -534,5 +575,5 @@ class TestEnsembleArray:
         persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"), out,
                     stats=stats)
         assert sorted(p.name for p in out.iterdir()) == [
-            "ensemble.json", "manifest.json", "summary.json", "trajectories.npy"]
+            "ensemble.json", "manifest.json", "trajectories.npy"]
         assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
