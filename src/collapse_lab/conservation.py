@@ -34,7 +34,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import AuditRefusal, DimensionError, NumericalError, OperatorError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _max_abs, _prep_matrix, embed_operator
+from .operators import AssembledOperator, _csr, _diagonal_csr, _max_abs, embed_operator
 
 if TYPE_CHECKING:
     from .integrator import RealizedScenario, TrajectoryRecord
@@ -116,15 +116,17 @@ def subsystem_marginal(
 
 
 def _shift_permutation(space: CompositeSpace, labels: list[str]) -> sp.csr_array:
+    """Permutation moving each of ``labels`` one site up: row r holds its
+    one entry in the column of the basis state shifted one site down."""
     dims = space.dims
     n = space.total_dim
     multi = list(np.unravel_index(np.arange(n), dims))
     for i, sub in enumerate(space.subsystems):
         if sub.label in labels:
-            multi[i] = (multi[i] + 1) % sub.dim
-    rows = np.ravel_multi_index(tuple(multi), dims)
-    data = np.ones(n, dtype=np.complex128)
-    return sp.csr_array(sp.coo_array((data, (rows, np.arange(n))), shape=(n, n)))
+            multi[i] = (multi[i] - 1) % sub.dim
+    cols = np.ravel_multi_index(tuple(multi), dims)
+    return sp.csr_array((np.ones(n, dtype=np.complex128), cols, np.arange(n + 1)),
+                        shape=(n, n))
 
 
 def total_shift_generator(space: CompositeSpace) -> AssembledOperator:
@@ -165,25 +167,19 @@ class CommutatorCertificate:
 
 
 def commutator_certificate(a, b, tolerance: float = COMMUTE_TOL) -> CommutatorCertificate:
-    """Max-norm of AB - BA with a pass/fail verdict at ``tolerance``."""
-    am, bm = _prep_matrix(a), _prep_matrix(b)
-    comm = am @ bm - bm @ am
-    value = _max_abs(comm)
+    """Max-norm of AB - BA with a pass/fail verdict at ``tolerance``.
+
+    ``a`` and ``b`` are operators or arrays, dense or sparse."""
+    am, bm = _csr(a), _csr(b)
+    value = _max_abs(am @ bm - bm @ am)
     return CommutatorCertificate(value, tolerance, value <= tolerance)
 
 
-def _spectral_bound(m) -> float:
+def _spectral_bound(m: sp.csr_array) -> float:
     """Upper bound on the spectral norm via sqrt(norm_1 * norm_inf)."""
-    if sp.issparse(m):
-        absm = abs(m)
-        col = absm.sum(axis=0)
-        row = absm.sum(axis=1)
-        n1 = float(np.max(col)) if np.size(col) else 0.0
-        ninf = float(np.max(row)) if np.size(row) else 0.0
-    else:
-        arr = np.abs(np.asarray(m))
-        n1 = float(arr.sum(axis=0).max())
-        ninf = float(arr.sum(axis=1).max())
+    absm = abs(m)
+    n1 = float(absm.sum(axis=0).max(initial=0.0))
+    ninf = float(absm.sum(axis=1).max(initial=0.0))
     return float(np.sqrt(n1 * ninf))
 
 
@@ -193,8 +189,7 @@ def lindblad_drift_rate_bound(hamiltonian, vhat) -> float:
     The master-equation drift of a quantity Q is -(1/2) <[V, [V, Q]]>, so
     half the spectral norm of the nested commutator bounds the rate.
     """
-    h = _prep_matrix(hamiltonian)
-    v = _prep_matrix(vhat)
+    h, v = _csr(hamiltonian), _csr(vhat)
     inner = v @ h - h @ v
     nested = v @ inner - inner @ v
     return 0.5 * _spectral_bound(nested)
@@ -564,16 +559,12 @@ def audit_run(
                 se = w.std(axis=0, ddof=1) / np.sqrt(n)
                 proj = np.zeros(scenario.space.total_dim)
                 proj[br.indices] = 1.0
-                proj_op = sp.diags_array([proj.astype(complex)], offsets=[0], format="csr")
-                commuting = True
-                if scenario.hamiltonian is not None:
-                    commuting &= commutator_certificate(
-                        scenario.hamiltonian.matrix, proj_op
-                    ).passed
-                if scenario.collapse_op is not None:
-                    commuting &= commutator_certificate(
-                        scenario.collapse_op.matrix, proj_op
-                    ).passed
+                proj_op = _diagonal_csr(proj)
+                commuting = all(
+                    commutator_certificate(op, proj_op).passed
+                    for op in (scenario.hamiltonian, scenario.collapse_op)
+                    if op is not None
+                )
                 if not commuting:
                     continue
                 dev = np.abs(mean - mean[0])

@@ -163,8 +163,8 @@ class CompositeSpace:
 class StateVector:
     """Unit-norm complex amplitudes over a :class:`CompositeSpace`.
 
-    Immutable after construction; the amplitude buffer is marked read-only
-    so instances can be shared freely across threads.
+    Immutable after construction: the amplitudes are a private copy
+    marked read-only, so a state can be shared without being changed.
     """
 
     space: CompositeSpace

@@ -29,7 +29,7 @@ import numpy as np
 from .entanglement import Bipartition
 from .errors import DimensionError, NumericalError, StabilityError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _prep_matrix
+from .operators import AssembledOperator, _csr
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -305,7 +305,8 @@ class EnsembleStats:
     """Per-time-point statistics over independent trajectories.
 
     Column reductions of each chunk's (b, n_records) blocks: means,
-    one-pass variances over n - 1 and standard errors sqrt(var / n).
+    two-pass variances over n - 1 (merged across chunks) and standard
+    errors sqrt(var / n).
     Outcome counts tally the collapse flag ('uncollapsed' for trajectories
     that never crossed the threshold).  ``mean_density`` is the averaged
     projector at each recorded time when density recording was requested.
@@ -352,7 +353,8 @@ def run_ensemble(
     Trajectories run in lock-step chunks of at most ``BATCH_AMPLITUDES``
     amplitudes, whose blocks are summed column by column in seed order, so
     results are reproducible; several chunks differ from one only by the
-    reassociation of the sums.  Returns (stats, records); ``records`` is
+    reassociation of the sums and the merge of the chunks' variances
+    (:func:`_fold`).  Returns (stats, records); ``records`` is
     empty, and no record is built, unless ``keep_records``.
     """
     if n_traj < 2:
@@ -367,20 +369,18 @@ def run_ensemble(
 
     seeds = ensemble_seeds(base_seed, n_traj)
     size = max(1, BATCH_AMPLITUDES // d)
-    # column totals of the series and of their squared moduli, from 0.0
-    # as a row-by-row sum: a column of -0.0 totals +0.0
-    obs_sum, obs_sq, w_sum, w_sq, ent_sum = (defaultdict(float) for _ in range(5))
+    # column totals of the series and their centered sums of squares, from
+    # 0.0 as a row-by-row sum: a column of -0.0 totals +0.0
+    obs_sum, obs_m2, w_sum, w_m2, ent_sum = (defaultdict(float) for _ in range(5))
     labels = [*(br.label for br in sc.branches), "uncollapsed"]  # [-1]: none
     outcomes: Counter[str] = Counter()
     drift, records = [], []
     density = np.zeros((sc.plan.n_records, d, d), complex) if record_density else None
-    for part in (seeds[i:i + size] for i in range(0, n_traj, size)):
+    for start in range(0, n_traj, size):
+        part = seeds[start:start + size]
         chunk = _run_chunk_batched(sc, part, record_density)
-        for sums, sq, blocks in ((obs_sum, obs_sq, chunk.observables),
-                                 (w_sum, w_sq, chunk.branch_weights)):
-            for k, block in blocks.items():
-                sums[k] += block.sum(axis=0)
-                sq[k] += (np.abs(block) ** 2).sum(axis=0)
+        _fold(obs_sum, obs_m2, chunk.observables, start)
+        _fold(w_sum, w_m2, chunk.branch_weights, start)
         for k, block in chunk.entropies.items():
             ent_sum[k] += block.sum(axis=0)
         outcomes.update(labels[i] for i in chunk.collapse_branch.tolist())
@@ -390,8 +390,8 @@ def run_ensemble(
         if keep_records:
             records.extend(_records(sc, part, chunk))
 
-    obs_mean, obs_var, obs_se = _moments(obs_sum, obs_sq, n_traj)
-    w_mean, _, w_se = _moments(w_sum, w_sq, n_traj)
+    obs_mean, obs_var, obs_se = _moments(obs_sum, obs_m2, n_traj)
+    w_mean, _, w_se = _moments(w_sum, w_m2, n_traj)
     drift = np.concatenate(drift)
     return EnsembleStats(
         times=chunk.times,  # the same in every chunk
@@ -410,13 +410,28 @@ def run_ensemble(
     ), records
 
 
-def _moments(sums: dict, sq_sums: dict, n: int) -> tuple[dict, dict, dict]:
-    """Mean, one-pass variance (over n - 1) and standard error of each
-    series from its column totals over ``n`` trajectories."""
-    mean = {k: s / n for k, s in sums.items()}
-    var = {k: np.maximum(sq_sums[k] / n - np.abs(m) ** 2, 0.0) * n / (n - 1)
-           for k, m in mean.items()}
-    return mean, var, {k: np.sqrt(v / n) for k, v in var.items()}
+def _fold(sums: dict, m2: dict, blocks: dict[str, np.ndarray], n_done: int) -> None:
+    """Add a chunk's (b, n_records) blocks to the column totals ``sums`` and
+    the centered sums of squares ``m2`` of the ``n_done`` rows before it:
+    two passes over the chunk about its own mean, merged as by Chan,
+    Golub & LeVeque (1979), m2 += m2_chunk + |mean_chunk - mean_before|^2
+    n_done b / (n_done + b).  A one-pass sum_sq / n - mean^2 cancels."""
+    for k, block in blocks.items():
+        b = len(block)
+        total = block.sum(axis=0)
+        mean = total / b
+        m2[k] += (np.abs(block - mean) ** 2).sum(axis=0)
+        if n_done:
+            m2[k] += np.abs(mean - sums[k] / n_done) ** 2 * (n_done * b / (n_done + b))
+        sums[k] += total
+
+
+def _moments(sums: dict, m2: dict, n: int) -> tuple[dict, dict, dict]:
+    """Mean, variance (over n - 1) and standard error of each series from
+    its column totals and centered sums of squares over ``n`` trajectories."""
+    var = {k: m / (n - 1) for k, m in m2.items()}
+    return ({k: s / n for k, s in sums.items()}, var,
+            {k: np.sqrt(v / n) for k, v in var.items()})
 
 
 # Blocks of states larger than this many amplitudes drop out of the CPU
@@ -603,9 +618,12 @@ def lindblad_oracle(
 ) -> np.ndarray:
     """RK4 integration of d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}.
 
-    Hermiticity is enforced by symmetrization each step and the trace is
-    checked to stay within 1e-9 of its initial value.  Returns the series
-    of density matrices, shape (n_steps + 1, d, d).
+    The reference that ensembles are judged by, kept apart from their
+    kernel: H and V (operators or arrays, None if absent) are densified,
+    so each stage costs O(d^3).  Hermiticity is enforced by
+    symmetrization each step and the trace is checked to stay within 1e-9
+    of its initial value.  Returns the series of density matrices, shape
+    (n_steps + 1, d, d).
     """
     rho = np.array(rho0, dtype=np.complex128)
     d = rho.shape[0]
@@ -620,8 +638,7 @@ def lindblad_oracle(
     if abs(tr0 - 1.0) > 1e-8:
         raise NumericalError(f"rho0 trace {tr0} is not 1")
 
-    h = _prep_matrix(hamiltonian)
-    v = _prep_matrix(vhat)
+    h, v = (None if op is None else _csr(op).toarray() for op in (hamiltonian, vhat))
     if any(m is not None and m.shape != (d, d) for m in (h, v)):
         raise DimensionError("operator and density-matrix dimensions differ")
     v2 = None if v is None else v @ v

@@ -208,10 +208,6 @@ class OperatorSpec:
         object.__setattr__(self, "terms", tuple(terms))
 
     @property
-    def has_external_potential(self) -> bool:
-        return any(isinstance(t, ExternalPotentialTerm) for t in self.terms)
-
-    @property
     def interaction_terms(self) -> tuple[Term, ...]:
         return tuple(
             t for t in self.terms if isinstance(t, (InteractionTerm, SpinCouplingTerm))
@@ -220,8 +216,10 @@ class OperatorSpec:
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """Concrete matrix over a composite space, with structure flags.
+    """Concrete matrix over a composite space, held as complex CSR, with
+    structure flags.
 
+    ``matrix`` may be given as an array or in any sparse format.
     ``hermitian`` is validated at construction (max-norm deviation from
     the adjoint below 1e-12).  ``unitary`` marks symmetry generators such
     as the total lattice shift; those are deliberately not Hermitian.
@@ -234,18 +232,15 @@ class AssembledOperator:
     unitary: bool = False
 
     def __post_init__(self):
-        m = self.matrix
-        if not sp.issparse(m):
-            m = sp.csr_array(np.asarray(m, dtype=np.complex128))
-        else:
-            m = sp.csr_array(m).astype(np.complex128)
+        m = sp.csr_array(self.matrix, dtype=np.complex128)
         n = self.space.total_dim
         if m.shape != (n, n):
             raise DimensionError(f"operator shape {m.shape} does not match dim {n}")
         object.__setattr__(self, "matrix", m)
         if self.hermitian:
             diag = self._diagonal
-            dev = _max_abs(m - m.conj().T if diag is None else diag - diag.conj())
+            dev = _max_abs(m - m.conj().T) if diag is None \
+                else 2.0 * float(np.abs(diag.imag).max())
             if dev > HERMITICITY_TOL:
                 raise OperatorError(
                     f"operator flagged hermitian but max |M - M^dag| = {dev:.3e}"
@@ -286,24 +281,23 @@ class AssembledOperator:
         )
 
 
-def _max_abs(m) -> float:
-    if sp.issparse(m):
-        data = m.data
-        return float(np.max(np.abs(data))) if data.size else 0.0
-    arr = np.asarray(m)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+def _max_abs(m: sp.csr_array) -> float:
+    return float(np.abs(m.data).max(initial=0.0))
 
 
-def _prep_matrix(op: AssembledOperator | np.ndarray | None):
-    """Matrix-algebra form: dense for small dims, sparse otherwise."""
-    if op is None:
-        return None
-    mat = op.matrix if isinstance(op, AssembledOperator) else op
-    if sp.issparse(mat):
-        if mat.shape[0] <= 256:
-            return np.asarray(mat.todense())
-        return sp.csr_array(mat)
-    return np.asarray(mat, dtype=np.complex128)
+def _csr(op) -> sp.csr_array:
+    """The CSR matrix of an operator, or of a dense or sparse array."""
+    if isinstance(op, AssembledOperator):
+        return op.matrix
+    return sp.csr_array(op, dtype=np.complex128)
+
+
+def _diagonal_csr(diag: np.ndarray) -> sp.csr_array:
+    """Diagonal matrix as CSR, one stored entry per row, zeros included."""
+    n = diag.size
+    ptr = np.arange(n + 1, dtype=np.int32)
+    return sp.csr_array((diag.astype(np.complex128, copy=False), ptr[:-1], ptr),
+                        shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -376,12 +370,13 @@ def momentum_operator(space: CompositeSpace, label: str) -> AssembledOperator:
     return AssembledOperator(space, embed_operator(space, {label: mat}), hermitian=True)
 
 
-def embed_operator(space: CompositeSpace, ops: Mapping[str, np.ndarray]) -> sp.csr_array:
-    """Kronecker-embed per-subsystem matrices with identities elsewhere."""
+def embed_operator(space: CompositeSpace, ops: Mapping[str, object]) -> sp.csr_array:
+    """Kronecker-embed per-subsystem matrices (arrays or sparse) with
+    identities elsewhere."""
     out = None
     for sub in space.subsystems:
         if sub.label in ops:
-            block = sp.csr_array(np.asarray(ops[sub.label], dtype=np.complex128))
+            block = sp.csr_array(ops[sub.label], dtype=np.complex128)
             if block.shape != (sub.dim, sub.dim):
                 raise DimensionError(
                     f"operator for {sub.label!r} has shape {block.shape}, "
@@ -396,45 +391,31 @@ def embed_operator(space: CompositeSpace, ops: Mapping[str, np.ndarray]) -> sp.c
     return sp.csr_array(out)
 
 
-def embed_diagonal(space: CompositeSpace, diags: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Full-space diagonal of a product over per-subsystem diagonals.
-
-    A two-axis table is broadcast by :func:`_pair_diagonal` instead.
-    """
-    full = np.ones(1, dtype=np.complex128)
-    for sub in space.subsystems:
-        if sub.label in diags:
-            vec = np.asarray(diags[sub.label], dtype=np.complex128).ravel()
-            if vec.size != sub.dim:
-                raise DimensionError(
-                    f"diagonal for {sub.label!r} has length {vec.size}, expected {sub.dim}"
-                )
-        else:
-            vec = np.ones(sub.dim, dtype=np.complex128)
-        full = np.kron(full, vec)
-    return full
+def embed_diagonal(space: CompositeSpace, labels: Sequence[str], table) -> np.ndarray:
+    """Full-space diagonal whose entry at basis state ``(j_1, ..., j_n)`` is
+    ``table`` indexed by the sites of the subsystems ``labels``: the table
+    has one axis per label, in the order of ``labels``, and is broadcast
+    over every other subsystem."""
+    table = np.asarray(table)
+    axes = [space.axis(label) for label in labels]
+    dims = space.dims
+    if len(set(axes)) != len(axes):
+        raise OperatorError(f"repeated subsystem labels {list(labels)}")
+    if table.shape != tuple(dims[a] for a in axes):
+        raise DimensionError(
+            f"diagonal table for {list(labels)} has shape {table.shape}, "
+            f"expected {tuple(dims[a] for a in axes)}"
+        )
+    shape = [dims[a] if a in axes else 1 for a in range(len(dims))]
+    view = np.transpose(table, np.argsort(axes)).reshape(shape)
+    return np.broadcast_to(view, dims).flatten()
 
 
 def diagonal_operator(space: CompositeSpace, label: str, values) -> AssembledOperator:
     """Hermitian operator diagonal in the basis: ``values`` on subsystem
     ``label``, identity elsewhere."""
-    diag = embed_diagonal(space, {label: np.asarray(values, dtype=np.complex128)})
-    n = diag.size
-    # CSR built directly: sp.diags_array takes 5x as long at these sizes
-    mat = sp.csr_array((diag, np.arange(n), np.arange(n + 1)), shape=(n, n))
-    return AssembledOperator(space, mat, hermitian=True)
-
-
-def _pair_diagonal(space: CompositeSpace, ai: int, aj: int, table: np.ndarray) -> np.ndarray:
-    """Broadcast a (dim_ai, dim_aj) table to a diagonal over the full space."""
-    dims = space.dims
-    arr = table if ai < aj else table.T
-    a, b = min(ai, aj), max(ai, aj)
-    shp = [1] * len(dims)
-    shp[a] = dims[a]
-    shp[b] = dims[b]
-    view = arr.reshape(shp)
-    return np.ascontiguousarray(np.broadcast_to(view, dims)).reshape(-1)
+    diag = embed_diagonal(space, [label], values)
+    return AssembledOperator(space, _diagonal_csr(diag), hermitian=True)
 
 
 def separation_table(space: CompositeSpace, label_i: str, label_j: str) -> np.ndarray:
@@ -474,19 +455,15 @@ def _zero(space: CompositeSpace) -> sp.csr_array:
 
 def _interaction_matrix(space: CompositeSpace, term: Term) -> sp.csr_array:
     if isinstance(term, InteractionTerm):
-        seps = separation_table(space, term.subsystem_i, term.subsystem_j)
-        vals = term.potential(seps)
-        if not np.all(np.isfinite(vals)):
+        labels = [term.subsystem_i, term.subsystem_j]
+        table = term.potential(separation_table(space, *labels))
+        if not np.all(np.isfinite(table)):
             raise OperatorError(
                 f"pair potential {term.potential.family!r} produced non-finite values"
             )
-        ai = space.axis(term.subsystem_i)
-        aj = space.axis(term.subsystem_j)
-        diag = _pair_diagonal(space, ai, aj, vals.astype(np.complex128))
-        return sp.csr_array(sp.diags_array([diag], offsets=[0], format="csr"))
-    if isinstance(term, SpinCouplingTerm):
-        spin_sub = space.subsystem(term.spin_subsystem)
-        pointer_sub = space.subsystem(term.pointer_subsystem)
+    elif isinstance(term, SpinCouplingTerm):
+        labels = [term.spin_subsystem, term.pointer_subsystem]
+        spin_sub, pointer_sub = (space.subsystem(label) for label in labels)
         if spin_sub.kind != "spin":
             raise OperatorError(
                 f"spin_coupling needs a spin subsystem, got {spin_sub.kind}"
@@ -495,15 +472,12 @@ def _interaction_matrix(space: CompositeSpace, term: Term) -> sp.csr_array:
             raise OperatorError("spin_coupling pointer must be a lattice subsystem")
         if not np.isfinite(term.strength):
             raise OperatorError("spin_coupling strength must be finite")
-        sz = np.diag(spin_z_matrix(spin_sub.dim)).astype(np.complex128)
-        xs = pointer_sub.positions().astype(np.complex128)
-        diag = embed_diagonal(
-            space, {term.spin_subsystem: sz, term.pointer_subsystem: xs}
+        table = term.strength * np.multiply.outer(
+            np.diag(spin_z_matrix(spin_sub.dim)), pointer_sub.positions()
         )
-        return sp.csr_array(
-            sp.diags_array([term.strength * diag], offsets=[0], format="csr")
-        )
-    raise OperatorError(f"not an interaction term: {term}")
+    else:
+        raise OperatorError(f"not an interaction term: {term}")
+    return _diagonal_csr(embed_diagonal(space, labels, table))
 
 
 def _term_masses(space: CompositeSpace, term: Term) -> float:
@@ -529,7 +503,7 @@ def assemble_hamiltonian(spec: OperatorSpec, space: CompositeSpace) -> Assembled
         if isinstance(term, KineticTerm):
             sub = space.subsystem(term.subsystem)
             total = total + embed_operator(
-                space, {term.subsystem: kinetic_matrix(sub, term.mass).toarray()}
+                space, {term.subsystem: kinetic_matrix(sub, term.mass)}
             )
         elif isinstance(term, ExternalPotentialTerm):
             sub = space.subsystem(term.subsystem)
@@ -541,13 +515,12 @@ def assemble_hamiltonian(spec: OperatorSpec, space: CompositeSpace) -> Assembled
                 )
             if not np.all(np.isfinite(samples)):
                 raise OperatorError("external potential contains non-finite samples")
-            diag = embed_diagonal(space, {term.subsystem: samples.astype(np.complex128)})
-            total = total + sp.diags_array([diag], offsets=[0], format="csr")
+            total = total + _diagonal_csr(embed_diagonal(space, [term.subsystem], samples))
         elif isinstance(term, (InteractionTerm, SpinCouplingTerm)):
             total = total + _interaction_matrix(space, term)
         else:
             raise OperatorError(f"unknown term type {type(term).__name__}")
-    return AssembledOperator(space, sp.csr_array(total), hermitian=True)
+    return AssembledOperator(space, total, hermitian=True)
 
 
 def scaled_interaction_sum(spec: OperatorSpec, space: CompositeSpace) -> AssembledOperator:
@@ -565,11 +538,10 @@ def scaled_interaction_sum(spec: OperatorSpec, space: CompositeSpace) -> Assembl
             "stochastic term vanishes",
             stacklevel=2,
         )
-        return AssembledOperator(space, _zero(space), hermitian=True)
     total = _zero(space)
     for term in terms:
         total = total + _interaction_matrix(space, term) * (1.0 / _term_masses(space, term))
-    return AssembledOperator(space, sp.csr_array(total), hermitian=True)
+    return AssembledOperator(space, total, hermitian=True)
 
 
 def collapse_operator(vprime: AssembledOperator, params: CollapseParams) -> AssembledOperator:

@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -365,9 +365,8 @@ def persist_run(
             }
             stage("summary.json", lambda f: f.write(_json_bytes(summary)))
         else:
-            plan = records[0].plan if records else IntegrationPlan(
-                **manifest.config["plan"]
-            )
+            plan = replace(IntegrationPlan(**manifest.config["plan"]),
+                           seed=stats.base_seed)
             stage("ensemble.json",
                   lambda f: f.write(_json_bytes(ensemble_json_dict(stats, plan))))
         manifest.trajectories = entries

@@ -232,23 +232,18 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
     observables = [
         _realize_observable(o, operators, hamiltonian, vhat) for o in config.observables
     ]
-    names = {o.name for o in observables}
 
+    # the config keeps audit names apart from observable names, and '.'
+    # out of both, so these series names are all new
     qv_tracks: list[str] = []
     quantities = _audits(config, space, hamiltonian, operators)
     for q in quantities:
-        if q.name not in names:
-            observables.append(Observable(q.name, q.operator))
-            names.add(q.name)
+        observables.append(Observable(q.name, q.operator))
         if q.kind == "total_quasimomentum":
-            for sub in space.subsystems:
-                if sub.is_lattice:
-                    mname = f"{q.name}.{sub.label}"
-                    if mname not in names:
-                        observables.append(
-                            Observable(mname, single_shift_generator(space, sub.label))
-                        )
-                        names.add(mname)
+            observables += [
+                Observable(f"{q.name}.{sub.label}", single_shift_generator(space, sub.label))
+                for sub in space.subsystems if sub.is_lattice
+            ]
         if q.kind == "energy" and vhat is not None:
             qv_tracks.append(q.name)
 
@@ -260,16 +255,12 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
         Bipartition.of(space, side) for side in config.bipartitions
     )
 
-    if hamiltonian.matrix.nnz == 0:
-        hamiltonian_arg = None
-    else:
-        hamiltonian_arg = hamiltonian
     if vhat is not None and vhat.matrix.nnz == 0:
         vhat = None
 
     return RealizedScenario(
         space=space,
-        hamiltonian=hamiltonian_arg,
+        hamiltonian=hamiltonian if hamiltonian.matrix.nnz else None,
         collapse_op=vhat,
         psi0=psi0,
         plan=plan,
@@ -283,10 +274,10 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
 
 
 def _branch_indices(space: CompositeSpace, label: str, sites) -> np.ndarray:
-    indicator = np.zeros(space.subsystem(label).dim, dtype=np.complex128)
-    indicator[list(sites)] = 1.0
-    mask = embed_diagonal(space, {label: indicator}).real > 0.5
-    return np.nonzero(mask)[0]
+    """Basis indices at which subsystem ``label`` sits on one of ``sites``."""
+    indicator = np.zeros(space.subsystem(label).dim, dtype=bool)
+    indicator[list(sites)] = True
+    return np.flatnonzero(embed_diagonal(space, [label], indicator))
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from collapse_lab.config import from_dict
 from collapse_lab.integrator import (
     IntegrationPlan,
     Observable,
-    _prep_matrix,
     lindblad_oracle,
     run_ensemble,
     run_trajectory,
@@ -114,7 +113,7 @@ def test_criterion_4_norm_martingale_and_strong_order():
 
         # (b) fixed-noise-path strong error shrinks by >= sqrt(2) per halving
         sc = realize(builtin_scenario("qnd-two-level"))
-        v = np.asarray(_prep_matrix(sc.collapse_op))
+        v = sc.collapse_op.to_dense()
         vt = v.T.copy()
         psi0 = sc.psi0.amplitudes
         base_dt, levels, ref_level, T, n_paths = 1e-3, (0, 1, 2, 3), 6, 0.25, 512

@@ -138,9 +138,51 @@ def test_shift_sector_requires_periodic():
 
 def test_quasimomentum_audit_requires_periodic():
     d = minimal_qnd_dict()
-    d["audits"] = [{"name": "t", "kind": "total_quasimomentum"}]
-    with pytest.raises(ConfigError):
+    d["audits"] = [{"name": "tq", "kind": "total_quasimomentum"}]
+    with pytest.raises(ConfigError) as err:
         from_dict(d)
+    assert any("periodic" in msg for msg in err.value.errors)
+
+
+# Observable and audit names are columns of the trajectory table, named
+# beside t, norm_pre, branch_<label>, entropy_<side>, qv_<name>, the
+# <name>_re/<name>_im halves of a complex series and the <audit>.<label>
+# marginals of a quasimomentum audit.
+RESERVED_SERIES_NAMES = ["t", "norm_pre", "branch_up", "entropy_spin", "qv_e",
+                         "x_re", "x_im", "tshift.particle"]
+
+
+@pytest.mark.parametrize("section", ["observables", "audits"])
+@pytest.mark.parametrize("name", RESERVED_SERIES_NAMES)
+def test_reserved_series_name_refused(section, name):
+    d = minimal_qnd_dict()
+    d[section] = [{"name": name, "kind": "spin_z", "subsystem": "spin"}]
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert err.value.errors == [
+        f"{section}[0].name: {name!r} is reserved: names may not be 't' or "
+        "'norm_pre', start with 'branch_', 'entropy_' or 'qv_', end with '_re' "
+        "or '_im', or contain '.'"
+    ]
+
+
+def test_audit_named_like_an_observable_refused():
+    # an energy audit named x1 used to audit the position series x1
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["audits"][0]["name"] = "x1"
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert err.value.errors == ["audits[0].name: 'x1' is also the name of an observable"]
+
+
+def test_names_near_the_reserved_ones_accepted():
+    d = minimal_qnd_dict()
+    names = ["tt", "norm", "my_branch", "entropy", "qv", "x_real", "re", "t_"]
+    d["observables"] = [{"name": n, "kind": "spin_z", "subsystem": "spin"}
+                        for n in names]
+    d["audits"] = [{"name": "sz_audit", "kind": "spin_z", "subsystem": "spin"}]
+    cfg = from_dict(d)
+    assert [o.name for o in realize(cfg).observables] == [*names, "sz_audit"]
 
 
 def test_amplitude_pairs_normalized():

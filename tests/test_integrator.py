@@ -504,16 +504,17 @@ def test_first_branch_wins_when_two_cross_the_threshold():
 
 def reference_stats(recs, record_density: bool) -> dict:
     """Every EnsembleStats field from kept records, summed one record at a
-    time in seed order from zero, with the one-pass variance."""
+    time in seed order from zero, with the two-pass variance."""
     n = len(recs)
 
     def moments(series):
-        total, total_sq = np.zeros_like(series[0]), np.zeros(len(series[0]))
+        total, m2 = np.zeros_like(series[0]), np.zeros(len(series[0]))
         for v in series:
             total += v
-            total_sq += np.abs(v) ** 2
         m = total / n
-        var = np.maximum(total_sq / n - np.abs(m) ** 2, 0.0) * n / (n - 1)
+        for v in series:
+            m2 += np.abs(v - m) ** 2
+        var = m2 / (n - 1)
         return m, var, np.sqrt(var / n)
 
     ref = {name: {} for name in (
@@ -581,11 +582,9 @@ def stats_scenario(name: str):
 def test_ensemble_stats_match_seed_order_reference(monkeypatch, name):
     # One chunk: every field is the record-by-record reduction, bit for
     # bit.  Several chunks (of 2 rows, the last of 1) reassociate the sums
-    # only.  They keep every series of qnd-two-level, whose operators are
-    # diagonal; a CSR product changes a batch of one by rounding.  A
-    # standard error is the root of a one-pass variance, so where every
-    # trajectory agrees (t = 0) a 1e-17 rounding difference of that
-    # variance is 3e-9 in the error: standard errors are compared squared.
+    # and merge the chunks' centered sums of squares.  They keep every
+    # series of qnd-two-level, whose operators are diagonal; a CSR product
+    # changes a batch of one by rounding.
     sc = stats_scenario(name)
     stats, recs = run_ensemble(sc, 9, base_seed=20, record_density=True,
                                keep_records=True)
@@ -620,8 +619,6 @@ def test_ensemble_stats_match_seed_order_reference(monkeypatch, name):
         pairs = ([(got[k], expected[k]) for k in expected]
                  if isinstance(expected, dict) else [(got, expected)])
         for a, b in pairs:
-            if key.endswith("_stderr"):
-                a, b = np.square(a), np.square(b)
             assert np.allclose(a, b, rtol=0.0, atol=1e-12), key
 
 
@@ -640,3 +637,22 @@ def test_unkept_ensemble_builds_no_records(monkeypatch):
     assert np.array_equal(stats.observable_mean["sz"], kept.observable_mean["sz"])
     with pytest.raises(AssertionError, match="per-trajectory"):
         run_ensemble(sc, 6, base_seed=1, keep_records=True)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 300])
+def test_ensemble_stderr_vanishes_where_every_trajectory_agrees(monkeypatch,
+                                                               rows_per_chunk):
+    # Every trajectory starts in psi0, so at t = 0 each series has no
+    # spread.  A one-pass variance, sum_sq / n - mean^2, kept a rounding
+    # residue there that the square root lifted to a standard error of
+    # 2.6e-9 on sz; the two-pass variance leaves rounding only.
+    d = builtin_scenario("qnd-two-level").to_dict()
+    d["plan"].update({"n_steps": 100, "record_every": 50})
+    sc = realize(from_dict(d))
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(integrator, "BATCH_AMPLITUDES",
+                            rows_per_chunk * sc.space.total_dim)
+    stats, _ = run_ensemble(sc, 2000, base_seed=0)
+    errors = [*stats.observable_stderr.values(), *stats.branch_weight_stderr.values()]
+    assert max(se[0] for se in errors) < 1e-15
+    assert min(se[-1] for se in errors) > 1e-3

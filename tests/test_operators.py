@@ -5,15 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_lab as cl
-from collapse_lab.conservation import commutator_certificate, total_shift_generator
-from collapse_lab.errors import OperatorError
+from collapse_lab.conservation import (
+    commutator_certificate,
+    single_shift_generator,
+    total_shift_generator,
+)
+from collapse_lab.errors import DimensionError, OperatorError
 from collapse_lab.operators import (
     AssembledOperator,
+    embed_diagonal,
     kinetic_matrix,
     separation_table,
 )
+from collapse_lab.scenarios import _branch_indices
 
-from conftest import SIGMA_Z, random_hermitian, random_state
+from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state
 
 
 def two_lattice_space(n=8, dx=0.5, periodic=True, m1=1.0, m2=1.0):
@@ -311,3 +317,102 @@ class TestApply:
         block = np.array([random_state(rng, 40) for _ in range(4)])
         assert np.array_equal(op.apply(block), block @ dense_t)
         assert np.array_equal(op.apply(block[0]), np.diag(diag).astype(complex) @ block[0])
+
+
+class TestAssemblyAgainstDenseReferences:
+    """Assembly on a three-subsystem space, term labels out of axis order,
+    against references built from np.kron and explicit site loops.  Terms
+    are summed in the same order on both sides, so the match is exact."""
+
+    space = cl.CompositeSpace([
+        cl.lattice("a", 5, 0.5, mass=2.0),
+        cl.spin("s", mass=1.5),
+        cl.lattice("b", 4, 0.7, mass=3.0),
+    ])
+    potential = cl.soft_coulomb(1.3, 0.4)
+    samples = [0.1, -0.2, 0.0, 0.4]
+    terms = [
+        cl.KineticTerm("b"),
+        cl.InteractionTerm("b", "a", potential),
+        cl.SpinCouplingTerm("s", "b", 0.7),
+        cl.ExternalPotentialTerm("b", samples),
+        cl.KineticTerm("a", mass=0.5),
+    ]
+
+    def full(self, a, s, b):
+        return np.kron(np.kron(a, s), b)
+
+    def reference_terms(self):
+        sa, sb = self.space.subsystem("a"), self.space.subsystem("b")
+        xa, xb = sa.positions(), sb.positions()
+        interaction = np.zeros((5, 2, 4), dtype=complex)
+        for ja, js, jb in np.ndindex(5, 2, 4):
+            interaction[ja, js, jb] = self.potential(xb[jb] - xa[ja])
+        coupling = 0.7 * self.full(np.ones(5), [1.0, -1.0], xb).astype(complex)
+        return {
+            "kinetic_b": self.full(np.eye(5), np.eye(2), kinetic_matrix(sb).toarray()),
+            "interaction": np.diag(interaction.ravel()),
+            "coupling": np.diag(coupling),
+            "external": np.diag(self.full(np.ones(5), np.ones(2), self.samples)
+                                .astype(complex)),
+            "kinetic_a": self.full(kinetic_matrix(sa, 0.5).toarray(), np.eye(2), np.eye(4)),
+        }
+
+    def test_hamiltonian(self):
+        ref = np.zeros((40, 40), dtype=complex)
+        for term in self.reference_terms().values():
+            ref = ref + term
+        h = cl.assemble_hamiltonian(cl.OperatorSpec(self.terms), self.space)
+        assert h.matrix.format == "csr" and h.matrix.dtype == np.complex128
+        assert np.array_equal(h.to_dense(), ref)
+
+    def test_collapse_operator(self):
+        t = self.reference_terms()
+        ref = np.zeros((40, 40), dtype=complex)
+        ref = ref + t["interaction"] * (1.0 / (2.0 + 3.0))
+        ref = ref + t["coupling"] * (1.0 / (1.5 + 3.0))
+        factor = 1.0 / (0.5**2 * np.sqrt(2.0))
+        vprime = cl.scaled_interaction_sum(cl.OperatorSpec(self.terms), self.space)
+        v = cl.collapse_operator(vprime, cl.CollapseParams(0.5, 2.0))
+        assert np.array_equal(v.to_dense(), ref * factor)
+
+    def test_branch_indices_on_the_middle_subsystem(self):
+        for sites in ([0], [1], [0, 1]):
+            indicator = np.zeros(2)
+            indicator[sites] = 1.0
+            expected = np.flatnonzero(self.full(np.ones(5), indicator, np.ones(4)))
+            assert np.array_equal(_branch_indices(self.space, "s", sites), expected)
+
+    def test_embed_diagonal_broadcasts_a_table_over_the_other_axes(self):
+        table = np.arange(20.0).reshape(4, 5)  # axes (b, a)
+        diag = embed_diagonal(self.space, ["b", "a"], table)
+        expected = [table[jb, ja] for ja, js, jb in np.ndindex(5, 2, 4)]
+        assert np.array_equal(diag, expected)
+        with pytest.raises(DimensionError):
+            embed_diagonal(self.space, ["a", "b"], table)
+
+
+class TestShiftGenerators:
+    space = cl.CompositeSpace([
+        cl.lattice("q", 6, 0.5, periodic=True),
+        cl.spin("s"),
+        cl.lattice("r", 6, 0.5, periodic=True, mass=4.0),
+    ])
+
+    def test_total_and_single_shifts_are_rolls(self):
+        psi = random_state(np.random.default_rng(3), self.space.total_dim)
+        grid = psi.reshape(self.space.dims)
+        total = total_shift_generator(self.space)
+        assert np.array_equal(total.apply(psi),
+                              np.roll(grid, 1, axis=(0, 2)).ravel())
+        for label, axis in (("q", 0), ("r", 2)):
+            single = single_shift_generator(self.space, label)
+            assert np.array_equal(single.apply(psi), np.roll(grid, 1, axis=axis).ravel())
+            assert single.unitary and not single.hermitian
+
+
+def test_commutator_certificate_takes_arrays():
+    xz = commutator_certificate(SIGMA_X, SIGMA_Z)
+    assert (xz.value, xz.passed) == (2.0, False)
+    assert commutator_certificate(SIGMA_Z, np.diag([3.0, -0.5])).value == 0.0
+    assert commutator_certificate(sp.csr_array(SIGMA_X), SIGMA_Z).value == 2.0

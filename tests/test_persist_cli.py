@@ -202,6 +202,37 @@ class TestCli:
         report = json.loads((out / "audit.json").read_text())
         assert report["passed"] is True
 
+    def test_kept_and_unkept_ensembles_write_the_same_plan(self, tmp_path):
+        # the plan of ensemble.json carries the base seed, whether or not
+        # the trajectories are kept; the config's plan seed is 1
+        cfg_path = self.write_config(tmp_path)
+        plans = []
+        for name, extra in (("ens", []), ("kept", ["--keep-trajectories"])):
+            out = tmp_path / name
+            assert cli_run(["ensemble", "--config", str(cfg_path), "--n-traj", "6",
+                            "--seed", "40", "--out-dir", str(out), "--quiet",
+                            *extra]) == 0
+            plans.append(json.loads((out / "ensemble.json").read_text())["plan"])
+        assert plans[0] == plans[1]
+        assert plans[0]["seed"] == 40
+
+    def test_observable_named_like_a_column_exits_1(self, tmp_path, capsys):
+        # an observable named t used to integrate the whole ensemble and
+        # then die writing trajectories.npy: "field 't' occurs more than once"
+        payload = json.loads(self.write_config(tmp_path).read_text())
+        payload["observables"].append({"name": "t", "kind": "spin_z",
+                                       "subsystem": "spin"})
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(payload))
+        for command in (["run"], ["ensemble", "--n-traj", "4", "--keep-trajectories"]):
+            code = cli_run([*command, "--config", str(path),
+                            "--out-dir", str(tmp_path / "t"), "--quiet"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "error:" in err and "'t' is reserved" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+
     def test_artifacts_of_each_command(self, tmp_path, capsys):
         # an ensemble's statistics are ensemble.json: it writes no
         # summary.json; a run does, with its collapse and terminal values
