@@ -132,7 +132,13 @@ def _default_out_dir(config: ScenarioConfig, tag: str) -> Path:
     return Path("runs") / f"{stem}-{config_hash(config)[:8]}-{tag}"
 
 
+def _check_seed(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError([f"--seed must be >= 0, got {args.seed}"])
+
+
 def _cmd_run(args) -> int:
+    _check_seed(args)
     config = _load(args.config)
     scenario = realize(config)
     seed = args.seed if args.seed is not None else scenario.plan.seed
@@ -150,6 +156,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    _check_seed(args)
     config = _load(args.config)
     scenario = realize(config)
     base_seed = args.seed if args.seed is not None else scenario.plan.seed

@@ -19,6 +19,7 @@ equation  d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}, which
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
@@ -173,40 +174,127 @@ class RealizedScenario:
     config: "ScenarioConfig | None" = None
 
 
+def _column_names(observables, branches, entropies, qvs) -> tuple[str, ...]:
+    """The columns of a trajectory table, in order: ``t``, ``norm_pre``,
+    each observable, given as a (name, is_complex) pair (``name_re`` and
+    ``name_im`` if complex), ``branch_<label>`` of each branch,
+    ``entropy_<partition>`` of each partition and ``qv_<name>`` of each
+    tracked quadratic variation."""
+    names = ["t", "norm_pre"]
+    for name, is_complex in observables:
+        names += [f"{name}_re", f"{name}_im"] if is_complex else [name]
+    names += [f"branch_{label}" for label in branches]
+    names += [f"entropy_{name}" for name in entropies]
+    names += [f"qv_{name}" for name in qvs]
+    return tuple(names)
+
+
+class _ColumnRoles(NamedTuple):
+    """Column index of each series of a trajectory table: the groups hold
+    (key, index) pairs, an observable (name, re, im) with ``im`` None for a
+    real one."""
+
+    t: int
+    norm_pre: int
+    observables: tuple[tuple[str, int, int | None], ...]
+    branches: tuple[tuple[str, int], ...]
+    entropies: tuple[tuple[str, int], ...]
+    qvs: tuple[tuple[str, int], ...]
+
+    def series(self, table: np.ndarray) -> tuple[dict, dict, dict, dict]:
+        """The observables, branch weights, entropies and quadratic
+        variations of a ([b,] n_columns, n_records) table, each keyed by
+        name with shape ([b,] n_records).  Views of the table, except a
+        complex observable, which is ``re + 1j * im``."""
+        col = table.swapaxes(0, -2)  # col[i]: column i, a view
+        return ({name: col[re] if im is None else col[re] + 1j * col[im]
+                 for name, re, im in self.observables},
+                *({key: col[i] for key, i in pairs}
+                  for pairs in (self.branches, self.entropies, self.qvs)))
+
+
+@functools.lru_cache(maxsize=16)
+def _column_roles(names: tuple[str, ...]) -> _ColumnRoles:
+    """The roles of the columns ``names`` of a trajectory table, the
+    inverse of :func:`_column_names`.  A repeated name stands for its last
+    column; ``x_re`` and ``x_im`` make the complex observable ``x``.
+    Raises DimensionError without a ``t`` or ``norm_pre`` column.
+    Cached: every row of an ensemble has the same columns."""
+    index = dict(zip(names, range(len(names))))
+    missing = [n for n in ("t", "norm_pre") if n not in index]
+    if missing:
+        raise DimensionError(f"no {' or '.join(missing)} column")
+    observables: dict[str, tuple[int, int | None]] = {}
+    consumed = {"t", "norm_pre"}
+    for name in index:
+        if name in consumed or name.startswith(("branch_", "entropy_", "qv_")):
+            continue
+        if name.endswith("_re") and name[:-3] + "_im" in index:
+            base = name[:-3]
+            observables[base] = (index[name], index[base + "_im"])
+            consumed |= {name, base + "_im"}
+        elif name.endswith("_im") and name[:-3] + "_re" in index:
+            continue
+        else:
+            observables[name] = (index[name], None)
+
+    def group(prefix):
+        return tuple((n[len(prefix):], i) for n, i in index.items() if n.startswith(prefix))
+
+    return _ColumnRoles(
+        t=index["t"],
+        norm_pre=index["norm_pre"],
+        observables=tuple((name, *where) for name, where in observables.items()),
+        branches=group("branch_"),
+        entropies=group("entropy_"),
+        qvs=group("qv_"),
+    )
+
+
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """Time series of state-derived quantities for one trajectory.
+    """One trajectory: its float64 (n_columns, n_records) ``table``, whose
+    rows are the series named by ``columns`` (:func:`_column_names`), its
+    seed, plan and collapse, and its states when they are at hand.
 
-    All series share length ``1 + n_steps / record_every``.  Branch weights
-    at each recorded time sum to 1.  ``norms_pre_renorm`` holds the norm of
-    the raw update that produced the recorded state (1.0 at t = 0);
-    ``norm_drift_mean`` averages (norm - 1) over every step, recorded or
-    not.  ``qv_series`` accumulates the realized quadratic variation of
-    tracked expectations, used by audit bounds.
+    The table is the persisted layout: a CSV holds its transpose and a row
+    of the ensemble array its bytes.  ``times``, ``norms_pre_renorm`` and
+    the dicts ``observables``, ``branch_weights``, ``entropy_series`` and
+    ``qv_series`` are decoded from it, as views of its rows except the
+    complex observables.  Branch weights at each recorded time sum to 1.
+    ``norms_pre_renorm`` holds the norm of the raw update that produced the
+    recorded state (1.0 at t = 0); ``norm_drift_mean`` averages (norm - 1)
+    over every step, recorded or not.  ``qv_series`` accumulates the
+    realized quadratic variation of tracked expectations, used by audit
+    bounds.
     """
 
-    times: np.ndarray
-    norms_pre_renorm: np.ndarray
-    observables: dict[str, np.ndarray]
-    branch_weights: dict[str, np.ndarray]
-    entropy_series: dict[str, np.ndarray]
+    columns: tuple[str, ...]
+    table: np.ndarray
     final_state: StateVector | None  # None when reloaded from disk
     seed: int
     plan: IntegrationPlan
     collapsed_branch: str | None = None
     collapse_step: int | None = None
     norm_drift_mean: float = 0.0
-    qv_series: dict[str, np.ndarray] = field(default_factory=dict)
     states: np.ndarray | None = None  # (n_records, dim) when requested
+    times: np.ndarray = field(init=False)
+    norms_pre_renorm: np.ndarray = field(init=False)
+    observables: dict[str, np.ndarray] = field(init=False)
+    branch_weights: dict[str, np.ndarray] = field(init=False)
+    entropy_series: dict[str, np.ndarray] = field(init=False)
+    qv_series: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        n = len(self.times)
-        series = [self.norms_pre_renorm, *self.observables.values(),
-                  *self.branch_weights.values(), *self.entropy_series.values(),
-                  *self.qv_series.values()]
-        for arr in series:
-            if len(arr) != n:
-                raise DimensionError("trajectory series lengths differ")
+        roles = _column_roles(tuple(self.columns))
+        if self.table.ndim != 2 or len(self.table) != len(self.columns):
+            raise DimensionError(
+                f"a table of shape {self.table.shape} for {len(self.columns)} columns"
+            )
+        self.times = self.table[roles.t]
+        self.norms_pre_renorm = self.table[roles.norm_pre]
+        (self.observables, self.branch_weights, self.entropy_series,
+         self.qv_series) = roles.series(self.table)
         if self.branch_weights:
             # in-place adds in branch order: the same sum as np.sum(axis=0)
             weights = iter(self.branch_weights.values())
@@ -273,10 +361,9 @@ def ito_step(
     """One renormalized Euler-Maruyama step with an externally drawn increment.
 
     The deviation operator is evaluated at the pre-step state; the supplied
-    ``noise`` must satisfy E[noise] = 0, E[|noise|^2] = dt.
+    ``noise`` must satisfy E[noise] = 0, E[|noise|^2] = dt.  The plan
+    refuses a ``dt`` that is not positive and finite (ValueError).
     """
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError("dt must be positive and finite")
     check_stability(IntegrationPlan(dt=dt, n_steps=1), vhat)
     new, _, _, _ = _step(psi.amplitudes[None, :], hamiltonian, vhat, dt,
                          np.array([complex(noise)]))
@@ -379,9 +466,11 @@ def run_ensemble(
     for start in range(0, n_traj, size):
         part = seeds[start:start + size]
         chunk = _run_chunk_batched(sc, part, record_density)
-        _fold(obs_sum, obs_m2, chunk.observables, start)
-        _fold(w_sum, w_m2, chunk.branch_weights, start)
-        for k, block in chunk.entropies.items():
+        roles = _column_roles(chunk.columns)
+        observables, weights, entropies, _ = roles.series(chunk.table)
+        _fold(obs_sum, obs_m2, observables, start)
+        _fold(w_sum, w_m2, weights, start)
+        for k, block in entropies.items():
             ent_sum[k] += block.sum(axis=0)
         outcomes.update(labels[i] for i in chunk.collapse_branch.tolist())
         drift.append(chunk.drift_mean)
@@ -394,7 +483,7 @@ def run_ensemble(
     w_mean, _, w_se = _moments(w_sum, w_m2, n_traj)
     drift = np.concatenate(drift)
     return EnsembleStats(
-        times=chunk.times,  # the same in every chunk
+        times=chunk.table[0, 0].copy(),  # column t: the same in every row
         n_traj=n_traj,
         observable_mean=obs_mean,
         observable_var=obs_var,
@@ -445,18 +534,15 @@ NOISE_INCREMENTS = 1 << 18
 
 
 class _Chunk(NamedTuple):
-    """The arrays of trajectories integrated together: the record times,
-    (b, n_records) series keyed as in :class:`TrajectoryRecord`, and per
-    row the collapse step and branch index (-1 if none), the mean of
-    (norm - 1) over every step, the final state and, if recorded, the
-    (n_records, d) states."""
+    """The arrays of trajectories integrated together: the ``columns`` of
+    their tables and the (b, n_columns, n_records) ``table``, whose row i
+    is trajectory i's :class:`TrajectoryRecord` table, and per row the
+    collapse step and branch index (-1 if none), the mean of (norm - 1)
+    over every step, the final state and, if recorded, the (n_records, d)
+    states."""
 
-    times: np.ndarray
-    norms: np.ndarray
-    observables: dict[str, np.ndarray]
-    branch_weights: dict[str, np.ndarray]
-    entropies: dict[str, np.ndarray]
-    qv: dict[str, np.ndarray]
+    columns: tuple[str, ...]
+    table: np.ndarray
     psi: np.ndarray
     collapse_step: np.ndarray
     collapse_branch: np.ndarray
@@ -467,24 +553,20 @@ class _Chunk(NamedTuple):
 def _records(sc: RealizedScenario, seeds: list[int],
              chunk: _Chunk) -> list[TrajectoryRecord]:
     """One :class:`TrajectoryRecord` per row of the chunk run for
-    ``seeds``.  Its series are views of the chunk's rows, so that a chunk
-    of thousands of trajectories is not held twice."""
+    ``seeds``.  Its table is a view of the chunk's row, so that a chunk of
+    thousands of trajectories is not held twice."""
     labels = [*(br.label for br in sc.branches), None]  # [-1]: none
     steps = [None if s < 0 else s for s in chunk.collapse_step.tolist()]
     return [
         TrajectoryRecord(
-            times=chunk.times.copy(),
-            norms_pre_renorm=chunk.norms[i],
-            observables={k: a[i] for k, a in chunk.observables.items()},
-            branch_weights={k: a[i] for k, a in chunk.branch_weights.items()},
-            entropy_series={k: a[i] for k, a in chunk.entropies.items()},
+            columns=chunk.columns,
+            table=chunk.table[i],
             final_state=StateVector(sc.space, chunk.psi[i]),
             seed=seed,
             plan=replace(sc.plan, seed=seed),
             collapsed_branch=labels[chunk.collapse_branch[i]],
             collapse_step=steps[i],
             norm_drift_mean=float(chunk.drift_mean[i]),
-            qv_series={k: a[i] for k, a in chunk.qv.items()},
             states=None if chunk.states is None else chunk.states[i],
         )
         for i, seed in enumerate(seeds)
@@ -524,16 +606,17 @@ def _run_chunk_batched(
     psi = np.tile(sc.psi0.amplitudes, (b, 1))
 
     n_rec = plan.n_records
+    # one entropy column per partition: a config may list one twice
+    parts = list({part.name(): part for part in sc.bipartitions}.values())
+    columns = _column_names(
+        [(o.name, o.is_complex) for o in sc.observables],
+        [br.label for br in sc.branches],
+        [part.name() for part in parts],
+        sc.qv_tracks,
+    )
+    table = np.empty((b, len(columns), n_rec))
     # integer product first: bit-equal to step * dt at every recorded step
-    times = (np.arange(n_rec) * plan.record_every) * dt
-    norms = np.empty((b, n_rec))
-    obs = {
-        o.name: np.empty((b, n_rec), dtype=complex if o.is_complex else float)
-        for o in sc.observables
-    }
-    weights = {br.label: np.empty((b, n_rec)) for br in sc.branches}
-    entropies = {part.name(): np.empty((b, n_rec)) for part in sc.bipartitions}
-    qv = {name: np.empty((b, n_rec)) for name in sc.qv_tracks}
+    table[:, 0] = (np.arange(n_rec) * plan.record_every) * dt
     qv_accum = np.zeros(b)
     states = np.empty((b, n_rec, d), dtype=np.complex128) if record_states else None
 
@@ -547,17 +630,17 @@ def _run_chunk_batched(
         return (f * f) @ indicator
 
     def record(idx: int, pre_norms: np.ndarray):
-        norms[:, idx] = pre_norms
+        # columns 1, 2, ... of record idx, in the order of _column_names
+        values = [pre_norms]
         for o in sc.observables:
-            obs[o.name][:, idx] = o.evaluate(psi)
+            value = o.evaluate(psi)
+            values += [value.real, value.imag] if o.is_complex else [value]
         if sc.branches:
-            w = branch_weights(psi)
-            for k, br in enumerate(sc.branches):
-                weights[br.label][:, idx] = w[:, k]
-        for part in sc.bipartitions:
-            entropies[part.name()][:, idx] = part.entropies(sc.space, psi)
-        for name in sc.qv_tracks:
-            qv[name][:, idx] = qv_accum
+            values += list(branch_weights(psi).T)
+        values += [part.entropies(sc.space, psi) for part in parts]
+        values += [qv_accum] * len(sc.qv_tracks)
+        for c, value in enumerate(values, 1):
+            table[:, c, idx] = value
         if states is not None:
             states[:, idx, :] = psi
 
@@ -601,8 +684,8 @@ def _run_chunk_batched(
             record(idx, nrm)
             idx += 1
 
-    return _Chunk(times, norms, obs, weights, entropies, qv, psi, collapse_step,
-                  collapse_branch, drift_sum / plan.n_steps, states)
+    return _Chunk(columns, table, psi, collapse_step, collapse_branch,
+                  drift_sum / plan.n_steps, states)
 
 
 # --------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 """Run persistence: trajectory tables, ensemble JSON, and run manifests.
 
-A trajectory is stored as a table with the stable columns
-``t,norm_pre,<columns...>``, where complex observables split into
-``name_re``/``name_im`` columns, branch weights appear as
-``branch_<label>``, entropies as ``entropy_<partition>``, and tracked
-quadratic variations as ``qv_<name>``.
+This module reads and writes bytes and columns; what a column means is
+:mod:`collapse_lab.integrator`'s (``_column_names`` encodes a
+trajectory's columns and ``_column_roles`` decodes them).  A trajectory
+is its record's float64 (columns x records) table, stored as it is:
 
-- A ``run`` writes ``trajectory_seed<seed>.csv`` with that header, and
-  ``summary.json``.  Floats are written with shortest round-trip repr, so
-  identical (config, seed) runs produce byte-identical files on one
-  platform.
+- A ``run`` writes ``trajectory_seed<seed>.csv``, the columns as its
+  header and the table's transpose as its lines, and ``summary.json``.
+  Floats are written with shortest round-trip repr, so identical
+  (config, seed) runs produce byte-identical files on one platform.
 - An ensemble writes its statistics to ``ensemble.json``.  One that keeps
   its trajectories writes them all to one ``trajectories.npy``: a version
   1.0 ``.npy`` array with one row per trajectory in seed order, whose
-  float64 fields are the columns, each holding the series of one column.
+  float64 fields are the columns: a row's bytes are its table's bytes.
 
 The manifest records the sha256 of every artifact.  For the ensemble
 array it also records each trajectory's row, the columns and the sha256
@@ -39,7 +38,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -124,42 +123,18 @@ def _plan_dict(plan: IntegrationPlan) -> dict:
     return {name: getattr(plan, name) for name in _PLAN_FIELDS}
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _columns(record: TrajectoryRecord) -> list[tuple[str, np.ndarray]]:
-    """(name, real series) of each column of a trajectory's table."""
-    cols = [("t", record.times), ("norm_pre", record.norms_pre_renorm)]
-    for name, series in record.observables.items():
-        if np.iscomplexobj(series):
-            cols.append((f"{name}_re", series.real))
-            cols.append((f"{name}_im", series.imag))
-        else:
-            cols.append((name, series))
-    for label, series in record.branch_weights.items():
-        cols.append((f"branch_{label}", series))
-    for pname, series in record.entropy_series.items():
-        cols.append((f"entropy_{pname}", series))
-    for qname, series in record.qv_series.items():
-        cols.append((f"qv_{qname}", series))
-    return cols
-
-
 def trajectory_csv_text(record: TrajectoryRecord) -> str:
-    cols = _columns(record)
-    lines = [",".join(name for name, _ in cols)]
-    for i in range(len(record.times)):
-        lines.append(",".join(_fmt(series[i]) for _, series in cols))
+    lines = [",".join(record.columns)]
+    # repr of a float is its shortest round-trip text
+    lines += [",".join(map(repr, row)) for row in record.table.T.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def _write_trajectory_array(f, records: list[TrajectoryRecord]) -> list[str]:
     """Write ``records`` to ``f`` as the ensemble array, one row at a time,
     and return the sha256 of each row's bytes."""
-    names = [name for name, _ in _columns(records[0])]
-    n_rec = len(records[0].times)
-    dtype = np.dtype([(name, "<f8", (n_rec,)) for name in names])
+    n_rec = records[0].table.shape[1]
+    dtype = np.dtype([(name, "<f8", (n_rec,)) for name in records[0].columns])
     np.lib.format.write_array_header_1_0(f, {
         "descr": np.lib.format.dtype_to_descr(dtype),
         "fortran_order": False,
@@ -167,7 +142,7 @@ def _write_trajectory_array(f, records: list[TrajectoryRecord]) -> list[str]:
     })
     row_hashes = []
     for rec in records:
-        row = np.array([series for _, series in _columns(rec)], dtype="<f8").tobytes()
+        row = rec.table.tobytes()
         row_hashes.append(_sha256(row))
         f.write(row)
     return row_hashes
@@ -347,7 +322,7 @@ def persist_run(
         if records and manifest.kind == "ensemble":
             row_hashes = stage(ENSEMBLE_ARRAY,
                                lambda f: _write_trajectory_array(f, records))
-            columns = [name for name, _ in _columns(records[0])]
+            columns = list(records[0].columns)
             for row, (entry, digest) in enumerate(zip(entries, row_hashes)):
                 entry.update(file=ENSEMBLE_ARRAY, row=row, columns=columns,
                              sha256=digest)
@@ -399,94 +374,52 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
     names a ``row``, of which only the header and that row are read; any
     other artifact is refused.  The CSV, or the row, must match the sha256
     in ``meta``, and a row's fields must be the columns in ``meta``.  The
-    record has no final state; hash, record-count and branch-partition
-    failures are :class:`PersistError`.
+    record has no final state; malformed entries and hash, record-count,
+    column and branch-partition failures are :class:`PersistError`.
     """
     if "sha256" not in meta:
         raise PersistError(f"{path}: the manifest records no content hash")
-    plan = IntegrationPlan(**meta["plan"])
+    plan = _entry_plan(path, meta)
     if "row" in meta:
-        names, columns = _read_array_row(path, meta, plan)
+        names, table = _read_array_row(path, meta, plan)
     elif os.path.splitext(path)[1] == ".csv":
-        names, columns = _read_csv(path, meta, plan)
+        names, table = _read_csv(path, meta, plan)
     else:
         raise PersistError(
             f"{path}: not a trajectory CSV or ensemble array; audits need one"
         )
     try:
-        roles = _column_roles(names)
-    except ValueError as exc:
-        raise PersistError(f"{path}: {exc}") from None
-
-    try:
         return TrajectoryRecord(
-            times=columns[roles.t],
-            norms_pre_renorm=columns[roles.norm_pre],
-            observables={
-                name: columns[re] if im is None else columns[re] + 1j * columns[im]
-                for name, re, im in roles.observables
-            },
-            branch_weights={label: columns[i] for label, i in roles.branches},
-            entropy_series={name: columns[i] for name, i in roles.entropies},
+            columns=names,
+            table=table,
             final_state=None,
-            seed=int(meta["seed"]),
+            seed=meta["seed"],
             plan=plan,
             collapsed_branch=meta.get("collapsed_branch"),
             collapse_step=meta.get("collapse_step"),
-            qv_series={name: columns[i] for name, i in roles.qvs},
         )
     except (DimensionError, NumericalError) as exc:
         raise PersistError(f"{path}: {exc}") from None
 
 
-class _ColumnRoles(NamedTuple):
-    """Column index of each series of a :class:`TrajectoryRecord`: the
-    groups hold (key, index) pairs, an observable (name, re, im) with
-    ``im`` None for a real one."""
-
-    t: int
-    norm_pre: int
-    observables: tuple[tuple[str, int, int | None], ...]
-    branches: tuple[tuple[str, int], ...]
-    entropies: tuple[tuple[str, int], ...]
-    qvs: tuple[tuple[str, int], ...]
-
-
-@functools.lru_cache(maxsize=16)
-def _column_roles(names: tuple[str, ...]) -> _ColumnRoles:
-    """The roles of the columns ``names`` of a trajectory table.  A repeated
-    name stands for its last column; ``x_re`` and ``x_im`` make the complex
-    observable ``x``.  Raises ValueError without a ``t`` or ``norm_pre``
-    column.  Cached: every row of an ensemble has the same columns."""
-    index = dict(zip(names, range(len(names))))
-    missing = [n for n in ("t", "norm_pre") if n not in index]
-    if missing:
-        raise ValueError(f"no {' or '.join(missing)} column")
-    observables: dict[str, tuple[int, int | None]] = {}
-    consumed = {"t", "norm_pre"}
-    for name in index:
-        if name in consumed or name.startswith(("branch_", "entropy_", "qv_")):
-            continue
-        if name.endswith("_re") and name[:-3] + "_im" in index:
-            base = name[:-3]
-            observables[base] = (index[name], index[base + "_im"])
-            consumed |= {name, base + "_im"}
-        elif name.endswith("_im") and name[:-3] + "_re" in index:
-            continue
-        else:
-            observables[name] = (index[name], None)
-
-    def group(prefix):
-        return tuple((n[len(prefix):], i) for n, i in index.items() if n.startswith(prefix))
-
-    return _ColumnRoles(
-        t=index["t"],
-        norm_pre=index["norm_pre"],
-        observables=tuple((name, *where) for name, where in observables.items()),
-        branches=group("branch_"),
-        entropies=group("entropy_"),
-        qvs=group("qv_"),
-    )
+def _entry_plan(path, meta: dict) -> IntegrationPlan:
+    """The plan of a manifest trajectory entry, once its seed, plan,
+    collapse step and collapsed branch are checked."""
+    seed, step, branch = (meta.get(k) for k in ("seed", "collapse_step",
+                                                "collapsed_branch"))
+    if type(seed) is not int or seed < 0:
+        raise PersistError(f"{path}: manifest seed {seed!r} is not an integer >= 0")
+    try:
+        plan = IntegrationPlan(**meta["plan"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistError(f"{path}: manifest plan is not a plan ({exc})") from None
+    if step is not None and not (type(step) is int and 0 <= step <= plan.n_steps):
+        raise PersistError(f"{path}: manifest collapse_step {step!r} is not null "
+                           f"or an integer in [0, {plan.n_steps}]")
+    if branch is not None and not isinstance(branch, str):
+        raise PersistError(f"{path}: manifest collapsed_branch {branch!r} is not "
+                           "null or a string")
+    return plan
 
 
 def _read_csv(path, meta: dict, plan: IntegrationPlan) -> tuple[tuple[str, ...], np.ndarray]:

@@ -18,7 +18,13 @@ from collapse_lab.conservation import (
     total_shift_generator,
 )
 from collapse_lab.errors import AuditRefusal, OperatorError
-from collapse_lab.integrator import IntegrationPlan, Observable, run_ensemble, run_trajectory
+from collapse_lab.integrator import (
+    IntegrationPlan,
+    Observable,
+    _column_names,
+    run_ensemble,
+    run_trajectory,
+)
 from collapse_lab.operators import AssembledOperator, embed_operator, momentum_operator
 from collapse_lab.scenarios import builtin_scenario, realize
 
@@ -312,9 +318,10 @@ class TestBranchTotalCheck:
         idx = int(np.ceil(rec.collapse_step / rec.plan.record_every))
         rate = lindblad_drift_rate_bound(sc.hamiltonian, sc.collapse_op)
         bound = rate * rec.times[idx] + 5.0 * np.sqrt(rec.qv_series["energy"][idx]) + 1e-9
-        energy = rec.observables["energy"].copy()
+        table = rec.table.copy()
+        energy = table[rec.columns.index("energy")]
         energy[idx] = energy[0] + factor * bound
-        moved = dataclasses.replace(rec, observables={**rec.observables, "energy": energy})
+        moved = dataclasses.replace(rec, table=table)
         report = audit_run([*records[:i], moved, *records[i + 1:]],
                            list(sc.quantities), sc)
         failures = report.ensemble["per_trajectory"]["failures"]
@@ -373,6 +380,18 @@ def test_unitary_entry_is_the_worst_trajectory_audited_alone():
     assert entry.drift_max == max(drifts)
 
 
+def table_record(plan, seed, **observables):
+    """A record of the given real or complex observables, and no other
+    series, built from the table a run of ``plan`` would record."""
+    rows = [np.arange(plan.n_records) * plan.dt, np.ones(plan.n_records)]
+    for series in observables.values():
+        rows += [series.real, series.imag] if np.iscomplexobj(series) else [series]
+    columns = _column_names(
+        [(name, np.iscomplexobj(v)) for name, v in observables.items()], [], [], [])
+    return cl.TrajectoryRecord(columns=columns, table=np.array(rows),
+                               final_state=None, seed=seed, plan=plan)
+
+
 def test_unitary_drift_unwraps_each_trajectory_phase():
     # phases that turn by 1 and 2 rad per record pass through +-pi
     space = cl.CompositeSpace([cl.lattice("p", 4, 1.0, periodic=True)])
@@ -380,13 +399,7 @@ def test_unitary_drift_unwraps_each_trajectory_phase():
     plan = IntegrationPlan(dt=1e-3, n_steps=6, seed=0, record_every=1)
     sc = make_realized(space, None, None, [1.0, 1.0, 1.0, 1.0], plan)
     records = [
-        cl.TrajectoryRecord(
-            times=np.arange(plan.n_records) * plan.dt,
-            norms_pre_renorm=np.ones(plan.n_records),
-            observables={"T": np.exp(1j * turn * np.arange(plan.n_records))},
-            branch_weights={}, entropy_series={},
-            final_state=None, seed=seed, plan=plan,
-        )
+        table_record(plan, seed, T=np.exp(1j * turn * np.arange(plan.n_records)))
         for seed, turn in ((0, 1.0), (1, 2.0))
     ]
     entry = audit_run(records, [t], sc).quantities[0]
@@ -403,14 +416,8 @@ def test_per_trajectory_failures_by_trajectory_then_quantity(qubit_space):
     quantities = [ConservedQuantity(name, AssembledOperator(qubit_space, SIGMA_Z))
                   for name in ("b", "a")]
     records = [
-        cl.TrajectoryRecord(
-            times=np.arange(plan.n_records) * plan.dt,
-            norms_pre_renorm=np.ones(plan.n_records),
-            observables={"a": 1.0 - drift * np.arange(plan.n_records),
-                         "b": 1.0 - drift * np.arange(plan.n_records)},
-            branch_weights={}, entropy_series={},
-            final_state=None, seed=seed, plan=plan,
-        )
+        table_record(plan, seed, a=1.0 - drift * np.arange(plan.n_records),
+                     b=1.0 - drift * np.arange(plan.n_records))
         for seed, drift in ((9, 1e-3), (3, 0.0), (5, 2e-3))
     ]
     report = audit_run(records, quantities, sc)
@@ -481,12 +488,7 @@ class TestFamilyThreshold:
         for i, sign in enumerate([1, -1, 1, -1]):
             series = np.full(plan.n_records, sz0)
             series[20] += n_se * se + sign * eps
-            records.append(cl.TrajectoryRecord(
-                times=np.arange(plan.n_records) * plan.dt,
-                norms_pre_renorm=np.ones(plan.n_records),
-                observables={"sz": series}, branch_weights={}, entropy_series={},
-                final_state=None, seed=i, plan=plan,
-            ))
+            records.append(table_record(plan, i, sz=series))
         q = ConservedQuantity("sz", AssembledOperator(qubit_space, SIGMA_Z), "spin_z")
         return audit_run(records, [q], sc).ensemble["martingale:sz"]
 

@@ -7,11 +7,14 @@ from scipy.linalg import expm
 import collapse_lab as cl
 from collapse_lab import integrator
 from collapse_lab.config import from_dict
-from collapse_lab.errors import NumericalError, StabilityError
+from collapse_lab.errors import DimensionError, NumericalError, StabilityError
 from collapse_lab.integrator import (
     Branch,
     IntegrationPlan,
     Observable,
+    TrajectoryRecord,
+    _column_names,
+    _column_roles,
     lindblad_oracle,
     run_ensemble,
     run_trajectory,
@@ -80,6 +83,12 @@ class TestItoStep:
         psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})
         with pytest.raises(StabilityError):
             cl.ito_step(psi, None, v, 1e-3, noise=0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_dt_must_be_positive_and_finite(self, qubit_space, dt):
+        psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            cl.ito_step(psi, None, as_op(qubit_space, SIGMA_Z), dt, noise=0.0)
 
 
 class TestRunTrajectory:
@@ -656,3 +665,73 @@ def test_ensemble_stderr_vanishes_where_every_trajectory_agrees(monkeypatch,
     errors = [*stats.observable_stderr.values(), *stats.branch_weight_stderr.values()]
     assert max(se[0] for se in errors) < 1e-15
     assert min(se[-1] for se in errors) > 1e-3
+
+
+def _is_series_name(name: str) -> bool:
+    """What the config accepts as an observable or audit name."""
+    return not (name in ("t", "norm_pre") or "." in name
+                or name.startswith(("branch_", "entropy_", "qv_"))
+                or name.endswith(("_re", "_im")))
+
+
+_names = st.text(min_size=1, max_size=8)
+_series_names = _names.filter(_is_series_name)
+# a quasimomentum audit adds one complex marginal '<audit>.<subsystem label>'
+_observables = (st.tuples(_series_names, st.booleans())
+                | st.tuples(st.tuples(_series_names, _names).map(".".join), st.just(True)))
+
+
+class TestTable:
+    @settings(max_examples=200, deadline=None)
+    @given(observables=st.lists(_observables, unique_by=lambda o: o[0], max_size=5),
+           branches=st.lists(_names, unique=True, max_size=3),
+           entropies=st.lists(st.lists(_names, min_size=1, max_size=2).map("+".join),
+                              unique=True, max_size=2),
+           qvs=st.lists(_series_names, unique=True, max_size=2))
+    def test_column_roles_invert_column_names(self, observables, branches, entropies,
+                                              qvs):
+        names = _column_names(observables, branches, entropies, qvs)
+        roles = _column_roles(names)
+        assert (names[roles.t], names[roles.norm_pre]) == ("t", "norm_pre")
+        assert [(name, im is not None) for name, _, im in roles.observables] == observables
+        for name, re, im in roles.observables:
+            assert names[re] == (name if im is None else f"{name}_re")
+            assert im is None or names[im] == f"{name}_im"
+        for prefix, keys, group in (("branch_", branches, roles.branches),
+                                    ("entropy_", entropies, roles.entropies),
+                                    ("qv_", qvs, roles.qvs)):
+            assert [key for key, _ in group] == keys
+            assert all(names[i] == prefix + key for key, i in group)
+
+    def test_kept_records_are_views_of_their_chunk(self):
+        sc = realize(builtin_scenario("two-particle-collision"))
+        sc.plan = IntegrationPlan(dt=sc.plan.dt, n_steps=20, record_every=10)
+        seeds = [4, 5, 6]
+        chunk = integrator._run_chunk_batched(sc, seeds, False)
+        records = integrator._records(sc, seeds, chunk)
+        assert chunk.table.shape == (3, len(chunk.columns), 3)
+        complex_names = {n[:-3] for n in chunk.columns if n.endswith("_im")}
+        assert complex_names and "energy" in records[0].qv_series
+        for i, rec in enumerate(records):
+            assert rec.columns == chunk.columns and rec.table.base is chunk.table
+            assert np.shares_memory(rec.table, chunk.table[i])
+            real = [rec.times, rec.norms_pre_renorm,
+                    *(v for k, v in rec.observables.items() if k not in complex_names),
+                    *rec.branch_weights.values(), *rec.entropy_series.values(),
+                    *rec.qv_series.values()]
+            assert len(real) == len(rec.columns) - len(complex_names) * 2
+            assert all(np.shares_memory(series, rec.table) for series in real)
+        _, kept = run_ensemble(sc, 3, 4, keep_records=True)
+        assert kept[0].table.base is kept[2].table.base
+        assert kept[0].table.base.shape == chunk.table.shape
+
+    def test_record_refuses_a_table_unlike_its_columns(self):
+        plan = IntegrationPlan(dt=1e-3, n_steps=4)
+        columns = ("t", "norm_pre", "x")
+        table = np.ones((3, plan.n_records))
+        TrajectoryRecord(columns, table, None, 0, plan)
+        for bad in (table[:2], table[:, None], np.ones((4, plan.n_records))):
+            with pytest.raises(DimensionError, match="3 columns"):
+                TrajectoryRecord(columns, bad, None, 0, plan)
+        with pytest.raises(DimensionError, match="no t column"):
+            TrajectoryRecord(("u", "norm_pre", "x"), table, None, 0, plan)

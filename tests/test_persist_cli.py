@@ -10,8 +10,8 @@ import collapse_lab as cl
 from collapse_lab import persist
 from collapse_lab.cli import cli_run
 from collapse_lab.config import from_dict
-from collapse_lab.errors import PersistError
-from collapse_lab.integrator import run_trajectory
+from collapse_lab.errors import DimensionError, PersistError
+from collapse_lab.integrator import _column_roles, run_trajectory
 from collapse_lab.persist import (
     build_manifest,
     load_manifest,
@@ -144,6 +144,15 @@ class TestCli:
 
     def test_unknown_flag_exit_code(self):
         assert cli_run(["run", "--nonsense"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--seed", "-1"], ["ensemble", "--n-traj", "4", "--seed", "-2"]])
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = cli_run([*command, "--config", "qnd-two-level", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err == f"error: --seed must be >= 0, got {command[-1]}\n"
+        assert not out.exists()
 
     def test_numerical_error_exit_code(self, tmp_path):
         d = builtin_scenario("qnd-two-level").to_dict()
@@ -448,6 +457,7 @@ class TestEnsembleArray:
                                                                 rec.seed)
             assert list(array.dtype.names) == meta["columns"]
             assert meta["sha256"] == hashlib.sha256(array[row].tobytes()).hexdigest()
+            assert array[row].tobytes() == rec.table.tobytes()
             stored = load_trajectory_csv(out / meta["file"], meta)
             assert stored.collapse_step == rec.collapse_step
             expected, got = _series(rec), _series(stored)
@@ -518,6 +528,30 @@ class TestEnsembleArray:
         with pytest.raises(PersistError, match="not a table of float64 trajectory series"):
             load_trajectory_csv(path, meta)
 
+    def test_columns_without_t_refused(self, tmp_path):
+        _, _, out = small_ensemble(tmp_path)
+        meta = load_manifest(out).trajectories[0]
+        path = out / "trajectories.npy"
+        original = path.read_bytes()
+        assert original.count(b"('t', '<f8'") == 1
+        path.write_bytes(original.replace(b"('t', '<f8'", b"('u', '<f8'"))
+        columns = ["u", *meta["columns"][1:]]
+        with pytest.raises(PersistError, match="trajectories.npy: no t column"):
+            load_trajectory_csv(path, {**meta, "columns": columns})
+
+    def test_table_unlike_its_columns_refused(self, tmp_path, monkeypatch):
+        _, _, out = small_ensemble(tmp_path)
+        meta = load_manifest(out).trajectories[0]
+        read = persist._read_array_row
+
+        def one_row_short(*args):
+            names, table = read(*args)
+            return names, table[1:]
+
+        monkeypatch.setattr(persist, "_read_array_row", one_row_short)
+        with pytest.raises(PersistError, match="trajectories.npy: a table of shape"):
+            load_trajectory_csv(out / meta["file"], meta)
+
     def test_record_count_must_be_the_plans(self, tmp_path):
         _, _, out = small_ensemble(tmp_path)
         meta = load_manifest(out).trajectories[0]
@@ -552,8 +586,21 @@ class TestEnsembleArray:
             for k in expected:
                 assert np.array_equal(expected[k], got[k]), k
 
+    def test_partition_listed_twice_is_one_column(self, tmp_path):
+        d = small_qnd_config().to_dict()
+        once = from_dict(d)
+        d["bipartitions"] = [["spin"], ["spin"]]
+        twice = from_dict(d)
+        stats, recs = cl.run_ensemble(realize(twice), 3, 0, keep_records=True)
+        assert recs[0].columns.count("entropy_spin") == 1
+        persist_run(recs, build_manifest(twice, [r.seed for r in recs], "ensemble"),
+                    tmp_path / "ens", stats=stats)
+        assert cli_run(["audit", "--run-dir", str(tmp_path / "ens"), "--quiet"]) == 0
+        assert (trajectory_csv_text(run_trajectory(realize(twice), seed=2))
+                == trajectory_csv_text(run_trajectory(realize(once), seed=2)))
+
     def test_column_roles_of_ambiguous_names(self):
-        roles = persist._column_roles((
+        roles = _column_roles((
             "t", "norm_pre", "a_re", "a_im", "b_im", "c_re", "branch_up", "x",
             "x_re", "x_im", "entropy_s", "qv_e", "branch_down"))
         assert (roles.t, roles.norm_pre) == (0, 1)
@@ -564,9 +611,9 @@ class TestEnsembleArray:
         assert roles.branches == (("up", 6), ("down", 12))
         assert (roles.entropies, roles.qvs) == ((("s", 10),), (("e", 11),))
         # a repeated name stands for its last column
-        assert persist._column_roles(("t", "norm_pre", "t")).t == 2
-        with pytest.raises(ValueError, match="no norm_pre column"):
-            persist._column_roles(("t", "x"))
+        assert _column_roles(("t", "norm_pre", "t")).t == 2
+        with pytest.raises(DimensionError, match="no norm_pre column"):
+            _column_roles(("t", "x"))
 
     def test_schema_2_csv_directory_still_audits(self, tmp_path):
         # the layout written before the ensemble array: one CSV per trajectory
@@ -608,3 +655,24 @@ class TestEnsembleArray:
         assert sorted(p.name for p in out.iterdir()) == [
             "ensemble.json", "manifest.json", "trajectories.npy"]
         assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("plan", {"dt": 0.001}), ("plan", "str"), ("plan", None),
+    ("seed", "abc"), ("seed", 2.5), ("seed", True), ("seed", -1), ("seed", None),
+    ("collapse_step", "5"), ("collapse_step", -1), ("collapse_step", 401),
+    ("collapse_step", 3.0), ("collapsed_branch", 5),
+])
+def test_malformed_manifest_entry_refused(tmp_path, capsys, field, value):
+    _, _, out = small_ensemble(tmp_path)
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["trajectories"][0][field] = value
+    (out / "manifest.json").write_text(json.dumps(raw))
+    meta = load_manifest(out).trajectories[0]
+    with pytest.raises(PersistError, match=f"trajectories.npy: manifest {field} "):
+        load_trajectory_csv(out / "trajectories.npy", meta)
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'trajectories.npy'}: manifest {field} ")
+    assert not (out / "audit.json").exists()
