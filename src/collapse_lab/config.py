@@ -542,27 +542,39 @@ def _check_unique_names(chk: _Check, entries: list, section: str) -> None:
             seen.add(e["name"])
 
 
-def _check_series_names(chk: _Check, observables: list, audits: list) -> None:
+def _check_series_names(chk: _Check, space: dict, observables: list,
+                        branches: list, audits: list) -> None:
     """Observables and audits share one name space, that of the recorded
     series: a name is a column of the trajectory table, so it may not be
     ``t`` or ``norm_pre``, start like a branch, entropy or quadratic-
     variation column, end like half of a complex column, or contain the
-    ``.`` of the marginals of a quasimomentum audit."""
+    ``.`` of the marginals of a quasimomentum audit.  Subsystem labels
+    (through entropy and marginal columns), branch labels and these names
+    all head columns of the run CSV, so none may hold its separators
+    ``,``, ``\\n`` or ``\\r``."""
     observed = {o["name"] for o in observables if o is not None}
-    for section, entries in (("observables", observables), ("audits", audits)):
+    for section, entries, key in (
+            ("space.subsystems", space.get("subsystems") or [], "label"),
+            ("observables", observables, "name"),
+            ("branches", branches, "label"),
+            ("audits", audits, "name")):
         for i, e in enumerate(entries):
             if e is None:
                 continue
-            name = e["name"]
-            if (name in ("t", "norm_pre") or "." in name
+            name = e[key]
+            path = f"{section}[{i}].{key}"
+            if any(c in name for c in ",\n\r"):
+                chk.err(path, f"{name!r} holds ',', a newline or a carriage return, "
+                        "which would split the columns of the run CSV")
+            elif key == "name" and (
+                    name in ("t", "norm_pre") or "." in name
                     or name.startswith(("branch_", "entropy_", "qv_"))
                     or name.endswith(("_re", "_im"))):
-                chk.err(f"{section}[{i}].name", f"{name!r} is reserved: names may "
+                chk.err(path, f"{name!r} is reserved: names may "
                         "not be 't' or 'norm_pre', start with 'branch_', 'entropy_' "
                         "or 'qv_', end with '_re' or '_im', or contain '.'")
             elif section == "audits" and name in observed:
-                chk.err(f"{section}[{i}].name",
-                        f"{name!r} is also the name of an observable")
+                chk.err(path, f"{name!r} is also the name of an observable")
 
 
 def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
@@ -637,7 +649,7 @@ def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
 
     audits = top.get("audits") or []
     _check_unique_names(chk, audits, "audits")
-    _check_series_names(chk, observables, audits)
+    _check_series_names(chk, space, observables, top.get("branches") or [], audits)
     for i, a in enumerate(audits):
         if a is not None and a["kind"] == "total_quasimomentum" and not all_periodic:
             chk.err(f"audits[{i}]", "total_quasimomentum needs all-periodic lattice "

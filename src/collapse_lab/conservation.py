@@ -32,9 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtr, ndtri
 
-from .errors import AuditRefusal, DimensionError, NumericalError, OperatorError
+from .errors import AuditRefusal, DimensionError, OperatorError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _csr, _diagonal_csr, _max_abs, embed_operator
+from .operators import AssembledOperator, _csr, _diagonal_csr, _max_abs
 
 if TYPE_CHECKING:
     from .integrator import RealizedScenario, TrajectoryRecord
@@ -44,8 +44,6 @@ __all__ = [
     "CommutatorCertificate",
     "QuantityAudit",
     "AuditReport",
-    "expectation",
-    "subsystem_marginal",
     "total_shift_generator",
     "single_shift_generator",
     "commutator_certificate",
@@ -82,37 +80,6 @@ class ConservedQuantity:
     @property
     def is_unitary(self) -> bool:
         return self.operator.unitary
-
-
-def expectation(quantity: ConservedQuantity | AssembledOperator, psi: StateVector):
-    """<psi| Q |psi>: real for Hermitian Q, complex for unitary generators."""
-    op = quantity.operator if isinstance(quantity, ConservedQuantity) else quantity
-    amps = psi.amplitudes
-    if op.matrix.shape[0] != amps.shape[0]:
-        raise DimensionError("state and operator dimensions differ")
-    val = complex(np.vdot(amps, op.apply(amps)))
-    if op.unitary:
-        if abs(val) > 1.0 + 1e-9:
-            raise NumericalError(f"unitary expectation has modulus {abs(val)} > 1")
-        return val
-    scale = max(1.0, op.max_abs())
-    if abs(val.imag) > 1e-10 * scale:
-        raise NumericalError(
-            f"Hermitian expectation has imaginary part {val.imag:.3e}"
-        )
-    return float(val.real)
-
-
-def subsystem_marginal(
-    op_single: np.ndarray, subsystem: str, psi: StateVector
-):
-    """Expectation of a one-subsystem operator (identity elsewhere)."""
-    space = psi.space
-    mat = embed_operator(space, {subsystem: np.asarray(op_single, dtype=complex)})
-    val = complex(np.vdot(psi.amplitudes, mat @ psi.amplitudes))
-    if abs(val.imag) < 1e-10 * max(1.0, float(np.max(np.abs(op_single)))):
-        return float(val.real)
-    return val
 
 
 def _shift_permutation(space: CompositeSpace, labels: list[str]) -> sp.csr_array:
@@ -343,26 +310,23 @@ def _refuse_if_uncertifiable(scenario: "RealizedScenario"):
         )
 
 
-def _drift_series(record: "TrajectoryRecord", quantity: ConservedQuantity):
-    try:
-        series = record.observables[quantity.name]
-    except KeyError:
-        raise DimensionError(
-            f"trajectory record has no observable series {quantity.name!r}; "
-            "declare the audit before running"
-        ) from None
-    return series
-
-
-def _audit_quantity(quantity, classified, block, records, scenario):
-    """Audit ``quantity`` on its stacked ``(n, n_records)`` series ``block``.
+def _audit_quantity(quantity, classified, block, qv, marginals, collapse, times,
+                    scenario):
+    """Audit ``quantity`` on its ``(n, n_records)`` series ``block``.
 
     Exactness is asserted for commuting quantities started in an
-    eigenspace, and the branch total of every collapsed trajectory with a
-    quadratic-variation track is checked; martingale and lindblad-governed
-    quantities are asserted at ensemble level by :func:`audit_run`.
-    Returns the entry describing the trajectory with the largest drift and
-    the per-trajectory pass mask.
+    eigenspace; martingale and lindblad-governed quantities are asserted
+    at ensemble level by :func:`audit_run`.  A Hermitian quantity with a
+    quadratic-variation block ``qv`` (None if untracked) also has the
+    branch total of each collapsed trajectory checked.  ``collapse`` holds
+    per row the collapsed branch (None if none) and the index of the first
+    record at or after the collapse.  The total there may move from its
+    initial value by the master-equation drift rate times the elapsed
+    ``times`` (exact bound on the mean), plus five sigma of the realized
+    quadratic variation (martingale spread), plus a rounding floor.
+    Returns the entry describing the trajectory with the largest drift,
+    with that row of each ``marginals`` block, and the per-trajectory pass
+    mask.
     """
     classification, details = classified
     details = dict(details)
@@ -385,29 +349,31 @@ def _audit_quantity(quantity, classified, block, records, scenario):
         details["modulus_drift_max"] = float(mod_drift[worst])
         details["arg_drift_max"] = float(arg_drift[worst])
     branch_check = None
-    collapsed = np.array([
-        rec.collapsed_branch is not None and quantity.name in rec.qv_series
-        for rec in records
-    ])
-    if collapsed.any() and not quantity.is_unitary and scenario.collapse_op is not None:
-        rows = np.flatnonzero(collapsed)
-        totals = _branch_totals(quantity, block, records, rows,
-                                scenario.hamiltonian, scenario.collapse_op)
-        ok[rows] &= totals["passed"]
-        if collapsed[worst]:
+    labels, at = collapse
+    rows = np.flatnonzero(labels != None)  # noqa: E711 -- elementwise
+    if (rows.size and qv is not None and not quantity.is_unitary
+            and scenario.collapse_op is not None):
+        idx = at[rows]
+        rate = lindblad_drift_rate_bound(scenario.hamiltonian, scenario.collapse_op) \
+            if scenario.hamiltonian is not None else 0.0
+        qvs = qv[rows, idx]
+        bound = rate * times[idx] + 5.0 * np.sqrt(np.maximum(qvs, 0.0)) + 1e-9
+        value = block[rows, idx]
+        dev = np.abs(value - block[rows, 0])
+        ok[rows] &= dev <= bound
+        if labels[worst] is not None:
             k = int(np.searchsorted(rows, worst))
             branch_check = {
-                "branch": records[worst].collapsed_branch,
-                "time": float(totals["time"][k]),
-                "value": _jsonify(complex(totals["value"][k])),
-                "deviation": float(totals["deviation"][k]),
-                "drift_rate_bound": totals["drift_rate_bound"],
-                "quadratic_variation": float(totals["quadratic_variation"][k]),
-                "bound": float(totals["bound"][k]),
-                "passed": bool(totals["passed"][k]),
+                "branch": labels[worst],
+                "time": float(times[idx[k]]),
+                "value": _jsonify(complex(value[k])),
+                "deviation": float(dev[k]),
+                "drift_rate_bound": rate,
+                "quadratic_variation": float(qvs[k]),
+                "bound": float(bound[k]),
+                "passed": bool(dev[k] <= bound[k]),
             }
 
-    observables = records[worst].observables
     entry = QuantityAudit(
         name=quantity.name,
         kind=quantity.kind,
@@ -418,42 +384,10 @@ def _audit_quantity(quantity, classified, block, records, scenario):
         drift_final=float(drift_final[worst]),
         passed=False if not ok.all() else (True if classification == "exact" else None),
         details=details,
-        marginals={name: observables[name] for name in observables
-                   if name.startswith(quantity.name + ".")},
+        marginals={name: series[worst] for name, series in marginals.items()},
         branch_check=branch_check,
     )
     return entry, ok
-
-
-def _branch_totals(quantity, block, records, rows, hamiltonian, vhat) -> dict:
-    """Compare the post-collapse branch totals of ``rows`` against their
-    initial totals.
-
-    The bound combines the master-equation drift rate (exact bound on the
-    mean) with five sigma of the realized quadratic variation of the
-    tracked expectation (martingale spread), plus a rounding floor.  Each
-    field is an array indexed like ``rows``, except the drift rate, which
-    is computed once.
-    """
-    plan = records[0].plan
-    steps = np.array([records[i].collapse_step for i in rows])
-    idx = np.minimum(np.ceil(steps / plan.record_every).astype(int), block.shape[1] - 1)
-    elapsed = records[0].times[idx]
-    rate = lindblad_drift_rate_bound(hamiltonian, vhat) \
-        if hamiltonian is not None else 0.0
-    qv = np.array([records[i].qv_series[quantity.name][k] for i, k in zip(rows, idx)])
-    bound = rate * elapsed + 5.0 * np.sqrt(np.maximum(qv, 0.0)) + 1e-9
-    value = block[rows, idx]
-    deviation = np.abs(value - block[rows, 0])
-    return {
-        "time": elapsed,
-        "value": value,
-        "deviation": deviation,
-        "drift_rate_bound": rate,
-        "quadratic_variation": qv,
-        "bound": bound,
-        "passed": deviation <= bound,
-    }
 
 
 def family_threshold(n_sigma: float, m: int) -> float:
@@ -472,37 +406,67 @@ def audit_run(
 ) -> AuditReport:
     """Audit a set of trajectories, one stored trajectory being a set of one.
 
-    Each quantity's series of all records are stacked into one
-    ``(n, n_records)`` block, and every check runs on blocks.  The report
-    holds one :class:`QuantityAudit` per quantity, describing the
-    trajectory with the largest drift and failing if any trajectory fails;
-    the ``per_trajectory`` section lists every failing (seed, quantity).
+    The records' tables are stacked into one ``(n, n_columns, n_records)``
+    table, decoded once by the column roles, and every check reads its
+    ``(n, n_records)`` block of that decode; records whose columns or
+    record counts differ are refused (DimensionError).  The report holds
+    one :class:`QuantityAudit` per quantity, describing the trajectory
+    with the largest drift and failing if any trajectory fails; the
+    ``per_trajectory`` section lists every failing (seed, quantity).
 
     With two or more trajectories, martingale quantities and commuting
     branch weights must keep their ensemble mean within z standard errors
     of the initial value at every checkpoint; lindblad-governed Hermitian
-    quantities must track the density-matrix oracle within z standard
-    errors when the dimension is at most :data:`ORACLE_MAX_DIM`.  z is
-    :func:`family_threshold` of :data:`N_SIGMA` over the m = n_records - 1
-    checkpoints after t = 0, so the whole series has the false-alarm rate
-    of a single ``N_SIGMA`` test.
+    quantities must track the density-matrix oracle, solved once per audit,
+    within z standard errors when the dimension is at most
+    :data:`ORACLE_MAX_DIM`.  z is :func:`family_threshold` of
+    :data:`N_SIGMA` over the m = n_records - 1 checkpoints after t = 0, so
+    the whole series has the false-alarm rate of a single ``N_SIGMA`` test.
     """
     if not records:
         raise DimensionError("audit_run needs at least one trajectory record")
     _refuse_if_uncertifiable(scenario)
+    columns, shape = tuple(records[0].columns), records[0].table.shape
+    for rec in records:
+        if tuple(rec.columns) != columns or rec.table.shape != shape:
+            raise DimensionError(
+                f"trajectory seed {rec.seed} has a {rec.table.shape} table of columns "
+                f"{list(rec.columns)}, seed {records[0].seed} a {shape} table of "
+                f"{list(columns)}; one audit needs one layout"
+            )
+    from .integrator import _column_roles, lindblad_oracle
+
+    roles = _column_roles(columns)
+    recorded = {name for name, _, _ in roles.observables}
+    for q in quantities:
+        if q.name not in recorded:
+            raise DimensionError(
+                f"trajectory record has no observable series {q.name!r}; "
+                "declare the audit before running"
+            )
+    table = np.stack([rec.table for rec in records])
+    observables, weights, _, qvs = roles.series(table)
+    times = table[0, roles.t]
+    plan = records[0].plan
+    labels = np.array([rec.collapsed_branch for rec in records], dtype=object)
+    steps = np.array([rec.collapse_step or 0 for rec in records])
+    at = np.minimum(np.ceil(steps / plan.record_every).astype(int), shape[1] - 1)
 
     n = len(records)
     report = AuditReport(seed=records[0].seed)
     report.notes.append(f"audited {n} trajectories")
-    classified, blocks = {}, {}
+    classified = {}
     ok = np.ones((n, len(quantities)), bool)
     for j, q in enumerate(quantities):
         classified[q.name] = classify_quantity(
             q, scenario.hamiltonian, scenario.collapse_op, scenario.psi0
         )
-        blocks[q.name] = np.array([_drift_series(rec, q) for rec in records])
-        entry, ok[:, j] = _audit_quantity(q, classified[q.name], blocks[q.name],
-                                          records, scenario)
+        marginals = {name: series for name, series in observables.items()
+                     if name.startswith(q.name + ".")}
+        entry, ok[:, j] = _audit_quantity(
+            q, classified[q.name], observables[q.name], qvs.get(q.name), marginals,
+            (labels, at), times, scenario,
+        )
         report.quantities.append(entry)
 
     failed = [(records[i].seed, quantities[j].name) for i, j in np.argwhere(~ok)]
@@ -513,13 +477,14 @@ def audit_run(
     }
 
     if n >= 2:
-        m = len(records[0].times) - 1
+        m = shape[1] - 1
         z = family_threshold(N_SIGMA, m)
+        rhos = None  # the oracle's states at the checkpoints, solved on first use
         for q in quantities:
             if q.is_unitary:
                 continue
             classification, _ = classified[q.name]
-            series = blocks[q.name]
+            series = observables[q.name]
             mean = series.real.mean(axis=0)
             se = series.real.std(axis=0, ddof=1) / np.sqrt(n)
             if classification == "martingale":
@@ -533,28 +498,23 @@ def audit_run(
                         f"{ORACLE_MAX_DIM}); per-trajectory bounds only"
                     )
                     continue
-                from .integrator import lindblad_oracle
-
-                plan = records[0].plan
-                rho0 = np.outer(
-                    scenario.psi0.amplitudes, scenario.psi0.amplitudes.conj()
-                )
-                rhos = lindblad_oracle(
-                    scenario.hamiltonian, scenario.collapse_op, rho0,
-                    plan.dt, plan.n_steps,
-                )
-                checkpoints = np.arange(0, plan.n_steps + 1, plan.record_every)
+                if rhos is None:
+                    amps = scenario.psi0.amplitudes
+                    rhos = lindblad_oracle(
+                        scenario.hamiltonian, scenario.collapse_op,
+                        np.outer(amps, amps.conj()), plan.dt, plan.n_steps,
+                    )[::plan.record_every]
                 qdense = q.operator.to_dense()
                 oracle_vals = np.array(
-                    [float(np.real(np.trace(qdense @ rhos[k]))) for k in checkpoints]
+                    [float(np.real(np.trace(qdense @ rho))) for rho in rhos]
                 )
                 dev = np.abs(mean - oracle_vals)
                 report.ensemble[f"oracle:{q.name}"] = _within(dev, se, z, m)
 
         # branch weights are martingales whenever they commute with the dynamics
-        if scenario.branches and records[0].branch_weights:
+        if scenario.branches and weights:
             for br in scenario.branches:
-                w = np.array([rec.branch_weights[br.label] for rec in records])
+                w = weights[br.label]
                 mean = w.mean(axis=0)
                 se = w.std(axis=0, ddof=1) / np.sqrt(n)
                 proj = np.zeros(scenario.space.total_dim)

@@ -89,8 +89,10 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
+        """The manifest of ``raw``; a missing field, or a trajectory entry
+        that is not an object naming its file, is a PersistError."""
         try:
-            return cls(
+            manifest = cls(
                 config_hash=raw["config_hash"],
                 config=raw["config"],
                 kind=raw["kind"],
@@ -103,6 +105,13 @@ class RunManifest:
             )
         except (KeyError, TypeError) as exc:
             raise PersistError(f"manifest is missing required field: {exc}") from exc
+        for i, entry in enumerate(manifest.trajectories):
+            if not isinstance(entry, dict):
+                raise PersistError(f"manifest trajectories[{i}] is {entry!r}, not an object")
+            if not isinstance(entry.get("file"), str):
+                raise PersistError(f"manifest trajectories[{i}] file "
+                                   f"{entry.get('file')!r} is not a file name")
+        return manifest
 
 
 def build_manifest(config: ScenarioConfig, seeds: Iterable[int], kind: str) -> RunManifest:

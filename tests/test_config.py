@@ -185,6 +185,34 @@ def test_names_near_the_reserved_ones_accepted():
     assert [o.name for o in realize(cfg).observables] == [*names, "sz_audit"]
 
 
+
+def _renamed(obj, old: str, new: str):
+    """``obj`` with every key and string value equal to ``old`` renamed."""
+    if isinstance(obj, dict):
+        return {new if k == old else k: _renamed(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_renamed(v, old, new) for v in obj]
+    return new if obj == old else obj
+
+
+@pytest.mark.parametrize("breaker", [",", "\n", "\r"])
+@pytest.mark.parametrize("path, old", [
+    ("space.subsystems[1].label", "pointer"),
+    ("branches[0].label", "up"),
+    ("observables[0].name", "sz"),
+    ("audits[0].name", "sz_audit"),
+])
+def test_names_that_split_the_run_csv_refused(breaker, path, old):
+    # a run CSV joins its header with ',' and its lines with '\n'
+    name = f"{old[0]}{breaker}{old[1:]}"
+    d = _renamed(builtin_scenario("qnd-two-level").to_dict(), old, name)
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert err.value.errors == [
+        f"{path}: {name!r} holds ',', a newline or a carriage return, which "
+        "would split the columns of the run CSV"
+    ]
+
 def test_amplitude_pairs_normalized():
     d = minimal_qnd_dict()
     d["initial_state"]["factors"]["spin"] = [[1.0, 0.5], 0.25]

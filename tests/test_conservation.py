@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import collapse_lab as cl
 from collapse_lab.config import from_dict
-from collapse_lab import conservation
+from collapse_lab import conservation, integrator
 from collapse_lab.conservation import (
     ConservedQuantity,
     audit_run,
@@ -17,11 +17,12 @@ from collapse_lab.conservation import (
     lindblad_drift_rate_bound,
     total_shift_generator,
 )
-from collapse_lab.errors import AuditRefusal, OperatorError
+from collapse_lab.errors import AuditRefusal, DimensionError, OperatorError
 from collapse_lab.integrator import (
     IntegrationPlan,
     Observable,
     _column_names,
+    lindblad_oracle,
     run_ensemble,
     run_trajectory,
 )
@@ -31,20 +32,25 @@ from collapse_lab.scenarios import builtin_scenario, realize
 from conftest import SIGMA_X, SIGMA_Z, make_realized
 
 
+def _value(op, psi):
+    """<psi| op |psi> as the kernel records it."""
+    return Observable("q", op).evaluate(psi.amplitudes[None])[0]
+
+
 class TestExpectation:
     def test_spin_up(self, qubit_space):
         q = ConservedQuantity(
             "sz", AssembledOperator(qubit_space, SIGMA_Z), "spin_z"
         )
         psi = cl.make_product_state(qubit_space, {"q": [1.0, 0.0]})
-        assert cl.expectation(q, psi) == pytest.approx(1.0)
+        assert _value(q.operator, psi) == pytest.approx(1.0)
 
     def test_eigenvector_gives_eigenvalue(self, qubit_space):
         h = 0.4 * SIGMA_X + 0.3 * SIGMA_Z
         eigvals, eigvecs = np.linalg.eigh(h)
         q = ConservedQuantity("h", AssembledOperator(qubit_space, h), "energy")
         psi = cl.renormalize(eigvecs[:, 0], qubit_space)
-        assert cl.expectation(q, psi) == pytest.approx(eigvals[0], abs=1e-12)
+        assert _value(q.operator, psi) == pytest.approx(eigvals[0], abs=1e-12)
 
     def test_shift_eigenstate_modulus_one(self):
         space = cl.CompositeSpace([cl.lattice("p", 8, 0.5, periodic=True)])
@@ -53,22 +59,29 @@ class TestExpectation:
         k = 3
         vec = np.exp(2j * np.pi * k * np.arange(8) / 8) / np.sqrt(8)
         psi = cl.renormalize(vec, space)
-        val = cl.expectation(ConservedQuantity("T", t, "total_quasimomentum"), psi)
+        val = _value(t, psi)
         assert abs(abs(val) - 1.0) < 1e-10
         assert val == pytest.approx(np.exp(-2j * np.pi * k / 8), abs=1e-12)
+
+
+def _marginal(op_single, subsystem, psi):
+    """Value of a one-subsystem operator, identity elsewhere."""
+    space = psi.space
+    return _value(AssembledOperator(space, embed_operator(space, {subsystem: op_single})),
+                  psi)
 
 
 class TestSubsystemMarginal:
     def test_product_state_factor_expectation(self):
         space = cl.CompositeSpace([cl.spin("a"), cl.spin("b")])
         psi = cl.make_product_state(space, {"a": [1.0, 1.0], "b": [1.0, 0.0]})
-        assert cl.subsystem_marginal(SIGMA_Z, "a", psi) == pytest.approx(0.0, abs=1e-12)
-        assert cl.subsystem_marginal(SIGMA_Z, "b", psi) == pytest.approx(1.0)
+        assert _marginal(SIGMA_Z, "a", psi) == pytest.approx(0.0, abs=1e-12)
+        assert _marginal(SIGMA_Z, "b", psi) == pytest.approx(1.0)
 
     def test_bell_state_marginal_vanishes(self):
         space = cl.CompositeSpace([cl.spin("a"), cl.spin("b")])
         psi = cl.renormalize(np.array([1, 0, 0, 1]) / np.sqrt(2), space)
-        assert cl.subsystem_marginal(SIGMA_Z, "a", psi) == pytest.approx(0.0, abs=1e-12)
+        assert _marginal(SIGMA_Z, "a", psi) == pytest.approx(0.0, abs=1e-12)
 
     def test_momentum_total_conserved_under_unitary_scattering(self):
         # small two-particle system so the dense exponential oracle is cheap;
@@ -98,13 +111,9 @@ class TestSubsystemMarginal:
         )
         p1 = momentum_operator(space, "p1")
         p2 = momentum_operator(space, "p2")
-        total0 = cl.expectation(ConservedQuantity("p1", p1), psi0) + cl.expectation(
-            ConservedQuantity("p2", p2), psi0
-        )
+        total0 = _value(p1, psi0) + _value(p2, psi0)
         psi_t = cl.renormalize(expm(-1j * h * 2.0) @ psi0.amplitudes, space)
-        total_t = cl.expectation(ConservedQuantity("p1", p1), psi_t) + cl.expectation(
-            ConservedQuantity("p2", p2), psi_t
-        )
+        total_t = _value(p1, psi_t) + _value(p2, psi_t)
         assert total_t == pytest.approx(total0, abs=1e-6)
 
 
@@ -430,6 +439,71 @@ def test_per_trajectory_failures_by_trajectory_then_quantity(qubit_space):
     assert drifts == pytest.approx([8e-3, 8e-3], abs=1e-15)
     assert not report.passed
 
+
+def test_records_of_different_layouts_refused(qubit_space):
+    plan = IntegrationPlan(dt=1e-3, n_steps=4, seed=0, record_every=1)
+    short = IntegrationPlan(dt=1e-3, n_steps=3, seed=0, record_every=1)
+    sc = make_realized(qubit_space, None, SIGMA_Z, [1.0, 0.0], plan)
+    q = ConservedQuantity("a", AssembledOperator(qubit_space, SIGMA_Z))
+    ones = np.ones(plan.n_records)
+    base = table_record(plan, 0, a=ones)
+    more_columns = table_record(plan, 1, a=ones, b=ones)
+    fewer_records = table_record(short, 2, a=np.ones(short.n_records))
+    for odd in (more_columns, fewer_records):
+        with pytest.raises(DimensionError, match=f"trajectory seed {odd.seed} has a "):
+            audit_run([base, odd], [q], sc)
+
+
+def d8_config() -> dict:
+    """A spin read by a 4-site hard-wall pointer (d = 8): energy and the
+    pointer's kinetic energy fail to commute with the collapse operator,
+    so both meet the density-matrix oracle."""
+    return {
+        "name": "d8",
+        "space": {"subsystems": [
+            {"kind": "spin", "label": "spin", "dim": 2},
+            {"kind": "lattice1d", "label": "pointer", "dim": 4, "grid_spacing": 1.0,
+             "mass": 2.0, "periodic": False},
+        ]},
+        "operators": {"terms": [
+            {"type": "kinetic", "subsystem": "pointer"},
+            {"type": "spin_coupling", "spin_subsystem": "spin",
+             "pointer_subsystem": "pointer", "strength": 0.8},
+        ]},
+        "collapse": {"enabled": True},
+        "initial_state": {"kind": "product", "factors": {
+            "spin": [[0.6, 0.0], [0.8, 0.0]],
+            "pointer": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+        }},
+        "plan": {"dt": 0.002, "n_steps": 1000, "record_every": 50, "seed": 0},
+        "branches": [{"label": "up", "subsystem": "spin", "sites": [0]},
+                     {"label": "down", "subsystem": "spin", "sites": [1]}],
+        "audits": [
+            {"kind": "energy", "name": "energy"},
+            {"kind": "custom", "name": "kin",
+             "terms": [{"type": "kinetic", "subsystem": "pointer"}]},
+            {"kind": "spin_z", "name": "szq", "subsystem": "spin"},
+        ],
+    }
+
+
+def test_oracle_solved_once_per_audit(monkeypatch):
+    sc = realize(from_dict(d8_config()))
+    _, records = run_ensemble(sc, 40, base_seed=0, keep_records=True)
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return lindblad_oracle(*args)
+
+    monkeypatch.setattr(integrator, "lindblad_oracle", spy)
+    report = audit_run(records, list(sc.quantities), sc)
+    assert len(calls) == 1
+    assert [q.classification for q in report.quantities] == [
+        "lindblad-governed", "lindblad-governed", "martingale"]
+    assert report.ensemble["oracle:energy"]["passed"]
+    assert report.ensemble["oracle:kin"]["passed"]
+    assert report.passed
 
 class TestUnitaryOnlyConservation:
     def test_energy_and_spin_drift_bounded_by_truncation(self):

@@ -84,6 +84,20 @@ class TestItoStep:
         with pytest.raises(StabilityError):
             cl.ito_step(psi, None, v, 1e-3, noise=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_step_beta_orthogonal_to_state(self, seed, dim, log_scale):
+        # the deviation V psi - <V> psi that drives the noise term
+        rng = np.random.default_rng(seed)
+        space = cl.CompositeSpace([cl.discrete("x", dim)])
+        vmat = random_hermitian(rng, dim, scale=10.0**log_scale)
+        v = AssembledOperator(space, vmat, hermitian=True)
+        psi = random_state(rng, dim)[None, :]
+        _, _, beta, _ = integrator._step(psi, None, v, 1e-3, np.zeros(1, complex))
+        assert abs(np.vdot(psi, beta)) < 1e-10
+        assert abs(np.vdot(psi, beta)) <= 1e-12 * np.max(np.abs(vmat))
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
     def test_dt_must_be_positive_and_finite(self, qubit_space, dt):
         psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})

@@ -676,3 +676,28 @@ def test_malformed_manifest_entry_refused(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'trajectories.npy'}: manifest {field} ")
     assert not (out / "audit.json").exists()
+
+
+def _drop_file(entry):
+    del entry["file"]
+    return entry
+
+
+@pytest.mark.parametrize("bad_entry, message", [
+    (_drop_file, "file None is not a file name"),
+    (lambda entry: 5, "is 5, not an object"),
+    (lambda entry: {**entry, "file": 5}, "file 5 is not a file name"),
+], ids=["no-file", "not-an-object", "file-not-a-string"])
+def test_manifest_entry_without_a_file_name_refused(tmp_path, capsys, bad_entry, message):
+    _, _, out = small_ensemble(tmp_path)
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["trajectories"][0] = bad_entry(raw["trajectories"][0])
+    (out / "manifest.json").write_text(json.dumps(raw))
+    with pytest.raises(PersistError) as refusal:
+        load_manifest(out)
+    assert str(refusal.value) == f"manifest trajectories[0] {message}"
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: manifest trajectories[0] {message}\n"
+    assert not (out / "audit.json").exists()
