@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, config_hash, from_dict, load_config, serialize
-from .conservation import audit_run
+from .conservation import _jsonify, audit_run
 from .entanglement import two_branch_entropy_approx, two_branch_entropy_exact
 from .errors import AuditRefusal, CollapseLabError, ConfigError, PersistError
 from .integrator import ensemble_seeds, run_ensemble, run_trajectory
@@ -179,44 +179,38 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params = PacketParams(a=args.a, m=args.m, hbar=args.hbar, t=args.t)
-    width = packet_width(params)
-    eps = args.epsilon if args.epsilon is not None else width / 100.0
+    try:  # the packet, window and sweep refuse their arguments with ValueError
+        params = PacketParams(a=args.a, m=args.m, hbar=args.hbar, t=args.t)
+        width = packet_width(params)
+        eps = args.epsilon if args.epsilon is not None else width / 100.0
+        PostSelection(x_f=args.x_f, epsilon=eps)
+        if args.sweep_xf is not None:
+            lo, hi, n = args.sweep_xf
+            xs = np.linspace(lo, hi, int(n))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError([str(exc)]) from exc
 
     def analyze_point(x_f: float) -> dict:
         sel = PostSelection(x_f=x_f, epsilon=eps)
         closed = postselected_momentum_closed(params, sel)
         quadrature = postselected_momentum_quadrature(params, sel)
         r, theta = polar_decomposition(closed)
-        dev = abs(quadrature - closed) / max(abs(closed), 1e-300)
         return {
             "x_f": x_f,
-            "closed": {"re": closed.real, "im": closed.imag},
-            "quadrature": {"re": quadrature.real, "im": quadrature.imag},
-            "relative_deviation": dev,
+            "closed": _jsonify(closed),
+            "quadrature": _jsonify(quadrature),
+            "relative_deviation": abs(quadrature - closed) / max(abs(closed), 1e-300),
             "polar": {"r": r, "theta": theta},
-            "dominant": {
-                "re": dominant_momentum(params, x_f).real,
-                "im": dominant_momentum(params, x_f).imag,
-            },
+            "dominant": _jsonify(dominant_momentum(params, x_f)),
         }
 
     if args.sweep_xf is not None:
-        lo, hi, n = args.sweep_xf
-        xs = np.linspace(lo, hi, int(n))
-        rows = [analyze_point(float(x)) for x in xs]
         lines = ["x_f,closed_re,closed_im,quad_re,quad_im,r,theta,relative_deviation"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    repr(v) for v in (
-                        row["x_f"], row["closed"]["re"], row["closed"]["im"],
-                        row["quadrature"]["re"], row["quadrature"]["im"],
-                        row["polar"]["r"], row["polar"]["theta"],
-                        row["relative_deviation"],
-                    )
-                )
-            )
+        for row in (analyze_point(float(x)) for x in xs):
+            values = (row["x_f"], row["closed"]["re"], row["closed"]["im"],
+                      row["quadrature"]["re"], row["quadrature"]["im"],
+                      row["polar"]["r"], row["polar"]["theta"], row["relative_deviation"])
+            lines.append(",".join(repr(v) for v in values))
         text = "\n".join(lines) + "\n"
         if args.out_dir:
             out = Path(args.out_dir)

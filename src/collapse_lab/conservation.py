@@ -34,7 +34,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import AuditRefusal, DimensionError, OperatorError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _csr, _diagonal_csr, _max_abs
+from .operators import AssembledOperator, _collapse_diagonal, _csr, _max_abs, _rows
 
 if TYPE_CHECKING:
     from .integrator import RealizedScenario, TrajectoryRecord
@@ -142,40 +142,45 @@ def commutator_certificate(a, b, tolerance: float = COMMUTE_TOL) -> CommutatorCe
     return CommutatorCertificate(value, tolerance, value <= tolerance)
 
 
-def _spectral_bound(m: sp.csr_array) -> float:
-    """Upper bound on the spectral norm via sqrt(norm_1 * norm_inf)."""
-    absm = abs(m)
-    n1 = float(absm.sum(axis=0).max(initial=0.0))
-    ninf = float(absm.sum(axis=1).max(initial=0.0))
+def _commutator_with_diagonal(m: sp.csr_array, v: np.ndarray, data=None) -> np.ndarray:
+    """The stored entries of [M, diag(v)] on the pattern of M, with
+    ``data`` in place of M's own entries when given: M_xy v_y - v_x M_xy,
+    the two products a CSR commutator forms, with no matrix product."""
+    data = m.data if data is None else data
+    return data * v[m.indices] - v[_rows(m)] * data
+
+
+def _spectral_bound(m: sp.csr_array, data: np.ndarray) -> float:
+    """Upper bound sqrt(norm_1 * norm_inf) on the spectral norm of the
+    matrix with the entries ``data`` on the pattern of ``m``."""
+    absm, n = np.abs(data), m.shape[0]
+    n1 = np.bincount(m.indices, absm, minlength=n).max(initial=0.0)
+    ninf = np.bincount(_rows(m), absm, minlength=n).max(initial=0.0)
     return float(np.sqrt(n1 * ninf))
 
 
 def lindblad_drift_rate_bound(hamiltonian, vhat) -> float:
     """Bound on |d<H>/dt| under the master equation.
 
-    The master-equation drift of a quantity Q is -(1/2) <[V, [V, Q]]>, so
-    half the spectral norm of the nested commutator bounds the rate.
+    The master-equation drift of a quantity Q is -(1/2) <[V, [V, Q]]>.  For
+    V = diag(v) the double commutator is Gamma o Q with Gamma_xy =
+    (v_x - v_y)^2, held on the pattern of Q, so half the spectral bound of
+    Gamma o H bounds the rate.  A non-diagonal V is refused (OperatorError).
     """
-    h, v = _csr(hamiltonian), _csr(vhat)
-    inner = v @ h - h @ v
-    nested = v @ inner - inner @ v
-    return 0.5 * _spectral_bound(nested)
+    h, v = _csr(hamiltonian), _collapse_diagonal(vhat)
+    return 0.5 * _spectral_bound(
+        h, _commutator_with_diagonal(h, v, _commutator_with_diagonal(h, v)))
 
 
-def classify_quantity(
-    quantity: ConservedQuantity,
-    hamiltonian,
-    vhat,
-    psi0: StateVector,
-) -> tuple[str, dict]:
-    """Structural classification plus the measured certificates."""
-    details: dict = {}
-    comm_h = commutator_certificate(quantity.operator, hamiltonian) \
-        if hamiltonian is not None else CommutatorCertificate(0.0, COMMUTE_TOL, True)
-    comm_v = commutator_certificate(quantity.operator, vhat) \
-        if vhat is not None else CommutatorCertificate(0.0, COMMUTE_TOL, True)
-    details["commutator_with_hamiltonian"] = comm_h.value
-    details["commutator_with_collapse"] = comm_v.value
+def classify_quantity(quantity: ConservedQuantity, hamiltonian, vhat,
+                      psi0: StateVector) -> tuple[str, dict]:
+    """Structural classification plus the measured certificates.  The
+    collapse operator must be diagonal (OperatorError otherwise)."""
+    comm_h = 0.0 if hamiltonian is None \
+        else commutator_certificate(quantity.operator, hamiltonian).value
+    comm_v = 0.0 if vhat is None else float(np.abs(_commutator_with_diagonal(
+        quantity.operator.matrix, _collapse_diagonal(vhat))).max(initial=0.0))
+    details = {"commutator_with_hamiltonian": comm_h, "commutator_with_collapse": comm_v}
 
     amps = psi0.amplitudes
     qpsi = quantity.operator.apply(amps)
@@ -183,7 +188,7 @@ def classify_quantity(
     residual = float(np.linalg.norm(qpsi - lam * amps))
     details["eigenstate_residual"] = residual
 
-    if comm_h.passed and comm_v.passed:
+    if comm_h <= COMMUTE_TOL and comm_v <= COMMUTE_TOL:
         if residual < EIGENSTATE_RESIDUAL_TOL:
             return "exact", details
         return "martingale", details
@@ -220,10 +225,9 @@ class QuantityAudit:
             "drift_max": self.drift_max,
             "drift_final": self.drift_final,
             "passed": self.passed,
-            "details": {k: _jsonify(v) for k, v in self.details.items()},
-            "marginals": {k: _jsonify(v) for k, v in self.marginals.items()},
-            "branch_check": None if self.branch_check is None
-            else {k: _jsonify(v) for k, v in self.branch_check.items()},
+            "details": _jsonify(self.details),
+            "marginals": _jsonify(self.marginals),
+            "branch_check": _jsonify(self.branch_check),
         }
 
 
@@ -252,7 +256,7 @@ class AuditReport:
             "passed": self.passed,
             "seed": self.seed,
             "quantities": [q.to_dict() for q in self.quantities],
-            "ensemble": {k: _jsonify(v) for k, v in self.ensemble.items()},
+            "ensemble": _jsonify(self.ensemble),
             "notes": list(self.notes),
         }
 
@@ -286,8 +290,9 @@ class AuditReport:
 
 
 def _jsonify(value):
+    """JSON form of a value; a complex number or array as {"re", "im"}."""
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return {"re": value.real.tolist(), "im": value.imag.tolist()}
@@ -308,6 +313,8 @@ def _refuse_if_uncertifiable(scenario: "RealizedScenario"):
             "configuration contains external_potential terms; conserved "
             "quantities are only certifiable for pure interaction dynamics"
         )
+    if scenario.collapse_op is not None:
+        _collapse_diagonal(scenario.collapse_op)  # OperatorError unless diagonal
 
 
 def _audit_quantity(quantity, classified, block, qv, marginals, collapse, times,
@@ -500,14 +507,11 @@ def audit_run(
                     continue
                 if rhos is None:
                     amps = scenario.psi0.amplitudes
-                    rhos = lindblad_oracle(
-                        scenario.hamiltonian, scenario.collapse_op,
-                        np.outer(amps, amps.conj()), plan.dt, plan.n_steps,
-                    )[::plan.record_every]
-                qdense = q.operator.to_dense()
-                oracle_vals = np.array(
-                    [float(np.real(np.trace(qdense @ rho))) for rho in rhos]
-                )
+                    rhos = lindblad_oracle(scenario.hamiltonian, scenario.collapse_op,
+                                           np.outer(amps, amps.conj()), plan)
+                # tr(Q rho) = sum over Q's stored entries of Q_xy rho_yx
+                qm = q.operator.matrix
+                oracle_vals = (rhos[:, qm.indices, _rows(qm)] @ qm.data).real
                 dev = np.abs(mean - oracle_vals)
                 report.ensemble[f"oracle:{q.name}"] = _within(dev, se, z, m)
 
@@ -517,15 +521,12 @@ def audit_run(
                 w = weights[br.label]
                 mean = w.mean(axis=0)
                 se = w.std(axis=0, ddof=1) / np.sqrt(n)
+                # [P, V] = 0 for the diagonal projector P and the diagonal V
                 proj = np.zeros(scenario.space.total_dim)
                 proj[br.indices] = 1.0
-                proj_op = _diagonal_csr(proj)
-                commuting = all(
-                    commutator_certificate(op, proj_op).passed
-                    for op in (scenario.hamiltonian, scenario.collapse_op)
-                    if op is not None
-                )
-                if not commuting:
+                h = scenario.hamiltonian
+                if h is not None and np.abs(_commutator_with_diagonal(
+                        h.matrix, proj)).max(initial=0.0) > COMMUTE_TOL:
                     continue
                 dev = np.abs(mean - mean[0])
                 report.ensemble[f"branch_martingale:{br.label}"] = {

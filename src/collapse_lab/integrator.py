@@ -15,6 +15,8 @@ its size is recorded for convergence checks.
 Ensemble averages of the projector must reproduce the linear master
 equation  d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}, which
 :func:`lindblad_oracle` integrates with RK4 as the validation target.
+The collapse operator is diagonal, V = diag(v), so the oracle applies
+its dissipator as the mask -(1/2)(v_x - v_y)^2 rho_xy and H in CSR.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .entanglement import Bipartition
 from .errors import DimensionError, NumericalError, StabilityError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _csr
+from .operators import AssembledOperator, _collapse_diagonal, _csr
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -696,17 +698,17 @@ def lindblad_oracle(
     hamiltonian: AssembledOperator | np.ndarray | None,
     vhat: AssembledOperator | np.ndarray | None,
     rho0: np.ndarray,
-    dt: float,
-    n_steps: int,
+    plan: IntegrationPlan,
 ) -> np.ndarray:
-    """RK4 integration of d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}.
+    """RK4 integration of d rho/dt = -i[H, rho] + V rho V - (1/2){V^2, rho}:
+    rho at the plan's ``n_records`` checkpoints, shape (n_records, d, d).
 
     The reference that ensembles are judged by, kept apart from their
-    kernel: H and V (operators or arrays, None if absent) are densified,
-    so each stage costs O(d^3).  Hermiticity is enforced by
-    symmetrization each step and the trace is checked to stay within 1e-9
-    of its initial value.  Returns the series of density matrices, shape
-    (n_steps + 1, d, d).
+    kernel.  H and V are operators or arrays, None if absent.  V = diag(v)
+    (OperatorError otherwise) makes the dissipator the mask -(1/2) Gamma o
+    rho, Gamma_xy = (v_x - v_y)^2, and -i[H, rho] = -i(H rho - (H rho)^dag)
+    for Hermitian H, rho: one CSR product per stage.  Hermiticity is enforced
+    by symmetrization each step; the trace must stay within 1e-9 of rho0's.
     """
     rho = np.array(rho0, dtype=np.complex128)
     d = rho.shape[0]
@@ -721,22 +723,23 @@ def lindblad_oracle(
     if abs(tr0 - 1.0) > 1e-8:
         raise NumericalError(f"rho0 trace {tr0} is not 1")
 
-    h, v = (None if op is None else _csr(op).toarray() for op in (hamiltonian, vhat))
-    if any(m is not None and m.shape != (d, d) for m in (h, v)):
+    h = None if hamiltonian is None else _csr(hamiltonian)
+    v = None if vhat is None else _collapse_diagonal(vhat)
+    if (h is not None and h.shape != (d, d)) or (v is not None and v.shape != (d,)):
         raise DimensionError("operator and density-matrix dimensions differ")
-    v2 = None if v is None else v @ v
+    gamma = None if v is None else -0.5 * (v[:, None] - v[None, :]) ** 2
 
     def rhs(r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
+        out = np.zeros_like(r) if gamma is None else gamma * r
         if h is not None:
-            out += -1j * (h @ r - r @ h)
-        if v is not None:
-            out += v @ r @ v - 0.5 * (v2 @ r + r @ v2)
+            hr = h @ r
+            out += -1j * (hr - hr.conj().T)
         return out
 
-    series = np.empty((n_steps + 1, d, d), dtype=np.complex128)
-    series[0] = rho
-    for i in range(1, n_steps + 1):
+    dt = plan.dt
+    checkpoints = np.empty((plan.n_records, d, d), dtype=np.complex128)
+    checkpoints[0] = rho
+    for i in range(1, plan.n_steps + 1):
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         k3 = rhs(rho + 0.5 * dt * k2)
@@ -749,8 +752,9 @@ def lindblad_oracle(
                 f"oracle trace drifted by {abs(tr - tr0):.3e} at step {i}; "
                 "reduce dt"
             )
-        series[i] = rho
-    return series
+        if i % plan.record_every == 0:
+            checkpoints[i // plan.record_every] = rho
+    return checkpoints
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -251,10 +251,8 @@ class AssembledOperator:
 
     @cached_property
     def _diagonal(self) -> np.ndarray | None:
-        """The diagonal when every stored entry lies on it, else None."""
-        m = self.matrix
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        return m.diagonal() if np.array_equal(m.indices, rows) else None
+        """:func:`_diagonal_of` the matrix, tested once."""
+        return _diagonal_of(self.matrix)
 
     @cached_property
     def _applier(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -290,6 +288,28 @@ def _csr(op) -> sp.csr_array:
     if isinstance(op, AssembledOperator):
         return op.matrix
     return sp.csr_array(op, dtype=np.complex128)
+
+
+def _rows(m: sp.csr_array) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _diagonal_of(m: sp.csr_array) -> np.ndarray | None:
+    """The diagonal of ``m`` when every stored entry lies on it, else None."""
+    return m.diagonal() if np.array_equal(m.indices, _rows(m)) else None
+
+
+def _collapse_diagonal(vhat) -> np.ndarray:
+    """The diagonal v of a collapse operator V = diag(v), given as an
+    operator or an array: the master equation's V terms are masks built
+    from it.  OperatorError if V has an off-diagonal entry."""
+    diag = vhat._diagonal if isinstance(vhat, AssembledOperator) \
+        else _diagonal_of(_csr(vhat))
+    if diag is None:
+        raise OperatorError("the collapse operator has off-diagonal entries; the "
+                            "master-equation oracle and the audit need a diagonal V")
+    return diag
 
 
 def _diagonal_csr(diag: np.ndarray) -> sp.csr_array:

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .config import ScenarioConfig, config_hash
+from .conservation import _jsonify
 from .errors import DimensionError, NumericalError, PersistError
 from .integrator import EnsembleStats, IntegrationPlan, TrajectoryRecord
 
@@ -157,19 +158,7 @@ def _write_trajectory_array(f, records: list[TrajectoryRecord]) -> list[str]:
     return row_hashes
 
 
-def _series_out(arr):
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-    return arr.tolist()
-
-
 def _summary_dict(record: TrajectoryRecord) -> dict:
-    terminal = {}
-    for name, series in record.observables.items():
-        v = series[-1]
-        terminal[name] = {"re": float(np.real(v)), "im": float(np.imag(v))} \
-            if np.iscomplexobj(series) else float(v)
     return {
         "schema_version": 1,
         "seed": record.seed,
@@ -178,13 +167,10 @@ def _summary_dict(record: TrajectoryRecord) -> dict:
         "collapse_step": record.collapse_step,
         "collapse_time": record.collapse_time,
         "norm_drift_mean": record.norm_drift_mean,
-        "terminal": terminal,
+        "terminal": {k: _jsonify(v[-1]) for k, v in record.observables.items()},
         "terminal_branch_weights": {
-            k: float(v[-1]) for k, v in record.branch_weights.items()
-        },
-        "terminal_entropy": {
-            k: float(v[-1]) for k, v in record.entropy_series.items()
-        },
+            k: _jsonify(v[-1]) for k, v in record.branch_weights.items()},
+        "terminal_entropy": {k: _jsonify(v[-1]) for k, v in record.entropy_series.items()},
     }
 
 
@@ -195,17 +181,11 @@ def ensemble_json_dict(stats: EnsembleStats, plan: IntegrationPlan) -> dict:
         "base_seed": stats.base_seed,
         "plan": _plan_dict(plan),
         "t": stats.times.tolist(),
-        "observable_mean": {k: _series_out(v) for k, v in stats.observable_mean.items()},
-        "observable_stderr": {
-            k: _series_out(v) for k, v in stats.observable_stderr.items()
-        },
-        "branch_weight_mean": {
-            k: v.tolist() for k, v in stats.branch_weight_mean.items()
-        },
-        "branch_weight_stderr": {
-            k: v.tolist() for k, v in stats.branch_weight_stderr.items()
-        },
-        "entropy_mean": {k: v.tolist() for k, v in stats.entropy_mean.items()},
+        "observable_mean": _jsonify(stats.observable_mean),
+        "observable_stderr": _jsonify(stats.observable_stderr),
+        "branch_weight_mean": _jsonify(stats.branch_weight_mean),
+        "branch_weight_stderr": _jsonify(stats.branch_weight_stderr),
+        "entropy_mean": _jsonify(stats.entropy_mean),
         "outcome_counts": dict(stats.outcome_counts),
         "norm_drift_mean": stats.norm_drift_mean,
         "norm_drift_stderr": stats.norm_drift_stderr,

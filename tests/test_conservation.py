@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 import collapse_lab as cl
@@ -27,7 +28,7 @@ from collapse_lab.integrator import (
     run_trajectory,
 )
 from collapse_lab.operators import AssembledOperator, embed_operator, momentum_operator
-from collapse_lab.scenarios import builtin_scenario, realize
+from collapse_lab.scenarios import builtin_names, builtin_scenario, realize
 
 from conftest import SIGMA_X, SIGMA_Z, make_realized
 
@@ -504,6 +505,43 @@ def test_oracle_solved_once_per_audit(monkeypatch):
     assert report.ensemble["oracle:energy"]["passed"]
     assert report.ensemble["oracle:kin"]["passed"]
     assert report.passed
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if builtin_scenario(n).audits])
+def test_double_commutator_mask_matches_csr(name):
+    """Gamma o Q, Gamma_xy = (v_x - v_y)^2, is the CSR [V, [V, Q]] to
+    rounding for every audit quantity, and so is the helper the audit uses."""
+    sc = realize(builtin_scenario(name))
+    v = sc.collapse_op.matrix
+    dv = v.diagonal()
+    for q in sc.quantities:
+        m = q.operator.matrix
+        inner = v @ m - m @ v
+        nested = v @ inner - inner @ v
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        gamma_q = m.data * (dv[rows] - dv[m.indices]) ** 2
+        twice = conservation._commutator_with_diagonal(
+            m, dv, conservation._commutator_with_diagonal(m, dv))
+        scale = np.abs(nested.data).max(initial=0.0)
+        for data in (gamma_q, twice):
+            masked = sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
+            assert np.abs((masked - nested).data).max(initial=0.0) <= 1e-14 * scale
+
+
+def test_non_diagonal_collapse_operator_refused(qubit_space):
+    plan = IntegrationPlan(dt=1e-3, n_steps=20, record_every=10)
+    sz = AssembledOperator(qubit_space, SIGMA_Z)
+    sc = make_realized(qubit_space, SIGMA_Z, SIGMA_X, [0.6, 0.8], plan,
+                       observables=[Observable("sz", sz)])
+    records = [run_trajectory(sc, seed=s) for s in (0, 1)]  # the kernel takes any V
+    rho0 = np.outer(sc.psi0.amplitudes, sc.psi0.amplitudes.conj())
+    with pytest.raises(OperatorError, match="off-diagonal"):
+        lindblad_oracle(SIGMA_Z, SIGMA_X, rho0, plan)
+    with pytest.raises(OperatorError, match="off-diagonal"):
+        lindblad_drift_rate_bound(SIGMA_Z, sc.collapse_op)
+    for quantities in ([ConservedQuantity("sz", sz, "spin_z")], []):
+        with pytest.raises(OperatorError, match="off-diagonal"):
+            audit_run(records, quantities, sc)
+
 
 class TestUnitaryOnlyConservation:
     def test_energy_and_spin_drift_bounded_by_truncation(self):

@@ -328,18 +328,57 @@ class TestRunEnsemble:
         )
         stats, _ = run_ensemble(sc, 3000, base_seed=900)
         rho0 = np.outer(sc.psi0.amplitudes, sc.psi0.amplitudes.conj())
-        rhos = lindblad_oracle(h, v, rho0, plan.dt, plan.n_steps)
-        for i, k in enumerate(range(0, plan.n_steps + 1, plan.record_every)):
-            oracle_val = float(np.real(np.trace(SIGMA_Z @ rhos[k])))
+        rhos = lindblad_oracle(h, v, rho0, plan)
+        assert rhos.shape == (plan.n_records, 2, 2)
+        for i, rho in enumerate(rhos):
+            oracle_val = float(np.real(np.trace(SIGMA_Z @ rho)))
             se = max(stats.observable_stderr["vhat"][i], 1e-12)
             assert abs(stats.observable_mean["vhat"][i] - oracle_val) <= 3 * se
 
 
+def _dense_rk4_oracle(h, v, rho0, plan):
+    """The master equation by dense RK4, every product formed: the reference
+    for the oracle's mask form, at the same checkpoints."""
+    v2 = v @ v
+
+    def rhs(r):
+        return -1j * (h @ r - r @ h) + v @ r @ v - 0.5 * (v2 @ r + r @ v2)
+
+    rho, dt = rho0.astype(complex), plan.dt
+    out = [rho]
+    for i in range(1, plan.n_steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        if i % plan.record_every == 0:
+            out.append(rho)
+    return np.array(out)
+
+
 class TestLindbladOracle:
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16),
+           n_records=st.integers(1, 12), every=st.integers(1, 5),
+           with_h=st.booleans(), with_v=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_mask_form_matches_dense_rk4(self, seed, d, n_records, every, with_h, with_v):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, d) if with_h else np.zeros((d, d))
+        v = np.diag(rng.standard_normal(d)) if with_v else np.zeros((d, d))
+        psi = random_state(rng, d)
+        rho0 = np.outer(psi, psi.conj())
+        plan = IntegrationPlan(dt=5e-3, n_steps=n_records * every, record_every=every)
+        got = lindblad_oracle(h if with_h else None, v if with_v else None, rho0, plan)
+        ref = _dense_rk4_oracle(h, v, rho0, plan)
+        assert got.shape == ref.shape == (plan.n_records, d, d)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
     def test_pure_unitary_keeps_spectrum(self):
         h = 0.9 * SIGMA_X
         rho0 = np.diag([0.7, 0.3]).astype(complex)
-        rhos = lindblad_oracle(h, None, rho0, 1e-3, 500)
+        rhos = lindblad_oracle(h, None, rho0, IntegrationPlan(dt=1e-3, n_steps=500))
         eigs0 = np.sort(np.linalg.eigvalsh(rhos[0]))
         eigsT = np.sort(np.linalg.eigvalsh(rhos[-1]))
         assert np.allclose(eigs0, eigsT, atol=1e-9)
@@ -348,7 +387,7 @@ class TestLindbladOracle:
     def test_diagonal_states_fixed_under_dephasing(self):
         v = np.diag([0.6, -1.1]).astype(complex)
         rho0 = np.diag([0.25, 0.75]).astype(complex)
-        rhos = lindblad_oracle(None, v, rho0, 1e-3, 400)
+        rhos = lindblad_oracle(None, v, rho0, IntegrationPlan(dt=1e-3, n_steps=400))
         assert np.allclose(rhos[-1], rho0, atol=1e-12)
 
     def test_offdiagonal_dephasing_closed_form(self):
@@ -356,14 +395,14 @@ class TestLindbladOracle:
         v = np.diag([v0, v1]).astype(complex)
         rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
         dt, n = 1e-3, 2000
-        rhos = lindblad_oracle(None, v, rho0, dt, n)
+        rhos = lindblad_oracle(None, v, rho0, IntegrationPlan(dt=dt, n_steps=n))
         expected = rho0[0, 1] * np.exp(-((v0 - v1) ** 2) * n * dt / 2.0)
         assert rhos[-1][0, 1] == pytest.approx(expected, abs=1e-6)
 
     def test_rejects_non_psd(self):
         bad = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(NumericalError):
-            lindblad_oracle(None, SIGMA_Z, bad, 1e-3, 10)
+            lindblad_oracle(None, SIGMA_Z, bad, IntegrationPlan(dt=1e-3, n_steps=10))
 
 
 def test_trace_distance():

@@ -176,6 +176,18 @@ class TestCli:
         assert payload["point"]["closed"]["im"] == pytest.approx(0.4)
         assert payload["point"]["relative_deviation"] < 1e-3
 
+    @pytest.mark.parametrize("args", [
+        ["--a", "0", "--t", "1"], ["--a", "1", "--t", "-1"],
+        ["--a", "1", "--t", "1", "--m", "0"], ["--a", "1", "--t", "1", "--hbar", "-1"],
+        ["--a", "1", "--t", "1", "--epsilon", "0"],
+        ["--a", "1", "--t", "1", "--sweep-xf", "0", "1", "-1"]])
+    def test_analyze_refuses_bad_arguments_in_one_line(self, tmp_path, capsys, args):
+        code = cli_run(["analyze", *args, "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_analyze_sweep_csv(self, tmp_path):
         code = cli_run(["analyze", "--a", "1", "--t", "1",
                         "--sweep-xf", "0.5", "2.0", "4",
