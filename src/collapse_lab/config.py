@@ -551,7 +551,8 @@ def _check_series_names(chk: _Check, space: dict, observables: list,
     ``.`` of the marginals of a quasimomentum audit.  Subsystem labels
     (through entropy and marginal columns), branch labels and these names
     all head columns of the run CSV, so none may hold its separators
-    ``,``, ``\\n`` or ``\\r``."""
+    ``,``, ``\\n`` or ``\\r``.  A subsystem label may not hold the ``+``
+    that joins the labels of a bipartition's entropy column either."""
     observed = {o["name"] for o in observables if o is not None}
     for section, entries, key in (
             ("space.subsystems", space.get("subsystems") or [], "label"),
@@ -566,6 +567,9 @@ def _check_series_names(chk: _Check, space: dict, observables: list,
             if any(c in name for c in ",\n\r"):
                 chk.err(path, f"{name!r} holds ',', a newline or a carriage return, "
                         "which would split the columns of the run CSV")
+            elif section == "space.subsystems" and "+" in name:
+                chk.err(path, f"{name!r} holds '+', which joins the labels of a "
+                        "bipartition's entropy column")
             elif key == "name" and (
                     name in ("t", "norm_pre") or "." in name
                     or name.startswith(("branch_", "entropy_", "qv_"))

@@ -34,7 +34,8 @@ from scipy.special import ndtr, ndtri
 
 from .errors import AuditRefusal, DimensionError, OperatorError
 from .hilbert import CompositeSpace, StateVector
-from .operators import AssembledOperator, _collapse_diagonal, _csr, _max_abs, _rows
+from .operators import (AssembledOperator, _collapse_diagonal, _csr, _diagonal_csr,
+                        _diagonal_of, _max_abs, _rows)
 
 if TYPE_CHECKING:
     from .integrator import RealizedScenario, TrajectoryRecord
@@ -68,7 +69,6 @@ class ConservedQuantity:
     name: str
     operator: AssembledOperator
     kind: str = "custom"  # energy | total_quasimomentum | spin_z | custom
-    subsystem: str | None = None
 
     def __post_init__(self):
         if not (self.operator.hermitian or self.operator.unitary):
@@ -136,9 +136,18 @@ class CommutatorCertificate:
 def commutator_certificate(a, b, tolerance: float = COMMUTE_TOL) -> CommutatorCertificate:
     """Max-norm of AB - BA with a pass/fail verdict at ``tolerance``.
 
-    ``a`` and ``b`` are operators or arrays, dense or sparse."""
-    am, bm = _csr(a), _csr(b)
-    value = _max_abs(am @ bm - bm @ am)
+    ``a`` and ``b`` are operators or arrays, dense or sparse.  An operator
+    commutes with itself.  A diagonal side is read as its vector, and the
+    commutator taken on the other side's pattern: the CSR products' bits
+    for a real diagonal, their value to rounding for a complex one (numpy
+    may fuse a complex product).  Only two non-diagonal sides form them."""
+    if a is b:
+        return CommutatorCertificate(0.0, tolerance, True)
+    am, bm, diag = _csr(a), _csr(b), _diagonal_of(b)
+    if diag is None and (da := _diagonal_of(a)) is not None:  # |[A, B]| = |[B, A]|
+        am, bm, diag = bm, am, da
+    value = _max_abs(am @ bm - bm @ am) if diag is None \
+        else float(np.abs(_commutator_with_diagonal(am, diag)).max(initial=0.0))
     return CommutatorCertificate(value, tolerance, value <= tolerance)
 
 
@@ -176,14 +185,15 @@ def classify_quantity(quantity: ConservedQuantity, hamiltonian, vhat,
                       psi0: StateVector) -> tuple[str, dict]:
     """Structural classification plus the measured certificates.  The
     collapse operator must be diagonal (OperatorError otherwise)."""
-    comm_h = 0.0 if hamiltonian is None \
-        else commutator_certificate(quantity.operator, hamiltonian).value
-    comm_v = 0.0 if vhat is None else float(np.abs(_commutator_with_diagonal(
-        quantity.operator.matrix, _collapse_diagonal(vhat))).max(initial=0.0))
+    q = quantity.operator
+    if vhat is not None:
+        _collapse_diagonal(vhat)  # OperatorError unless diagonal
+    comm_h = 0.0 if hamiltonian is None else commutator_certificate(q, hamiltonian).value
+    comm_v = 0.0 if vhat is None else commutator_certificate(q, vhat).value
     details = {"commutator_with_hamiltonian": comm_h, "commutator_with_collapse": comm_v}
 
     amps = psi0.amplitudes
-    qpsi = quantity.operator.apply(amps)
+    qpsi = q.apply(amps)
     lam = complex(np.vdot(amps, qpsi))
     residual = float(np.linalg.norm(qpsi - lam * amps))
     details["eigenstate_residual"] = residual
@@ -216,19 +226,7 @@ class QuantityAudit:
     branch_check: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "classification": self.classification,
-            "tolerance": self.tolerance,
-            "initial": _jsonify(self.initial),
-            "drift_max": self.drift_max,
-            "drift_final": self.drift_final,
-            "passed": self.passed,
-            "details": _jsonify(self.details),
-            "marginals": _jsonify(self.marginals),
-            "branch_check": _jsonify(self.branch_check),
-        }
+        return _jsonify(vars(self))
 
 
 @dataclass
@@ -251,14 +249,8 @@ class AuditReport:
         return True
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "passed": self.passed,
-            "seed": self.seed,
-            "quantities": [q.to_dict() for q in self.quantities],
-            "ensemble": _jsonify(self.ensemble),
-            "notes": list(self.notes),
-        }
+        return {**_jsonify(vars(self)), "schema_version": 1, "passed": self.passed,
+                "quantities": [q.to_dict() for q in self.quantities]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -486,6 +478,7 @@ def audit_run(
     if n >= 2:
         m = shape[1] - 1
         z = family_threshold(N_SIGMA, m)
+        h, dim = scenario.hamiltonian, scenario.space.total_dim
         rhos = None  # the oracle's states at the checkpoints, solved on first use
         for q in quantities:
             if q.is_unitary:
@@ -498,7 +491,6 @@ def audit_run(
                 dev = np.abs(mean - mean[0])
                 report.ensemble[f"martingale:{q.name}"] = _within(dev, se, z, m)
             elif classification == "lindblad-governed":
-                dim = scenario.space.total_dim
                 if dim > ORACLE_MAX_DIM:
                     report.notes.append(
                         f"{q.name}: oracle comparison skipped (dim {dim} > "
@@ -507,7 +499,7 @@ def audit_run(
                     continue
                 if rhos is None:
                     amps = scenario.psi0.amplitudes
-                    rhos = lindblad_oracle(scenario.hamiltonian, scenario.collapse_op,
+                    rhos = lindblad_oracle(h, scenario.collapse_op,
                                            np.outer(amps, amps.conj()), plan)
                 # tr(Q rho) = sum over Q's stored entries of Q_xy rho_yx
                 qm = q.operator.matrix
@@ -515,19 +507,16 @@ def audit_run(
                 dev = np.abs(mean - oracle_vals)
                 report.ensemble[f"oracle:{q.name}"] = _within(dev, se, z, m)
 
-        # branch weights are martingales whenever they commute with the dynamics
+        # branch weights are martingales whenever they commute with the dynamics;
+        # [P, V] = 0 for the diagonal projector P and the diagonal V
         if scenario.branches and weights:
             for br in scenario.branches:
+                proj = _diagonal_csr(np.isin(np.arange(dim), br.indices))
+                if h is not None and not commutator_certificate(h, proj).passed:
+                    continue
                 w = weights[br.label]
                 mean = w.mean(axis=0)
                 se = w.std(axis=0, ddof=1) / np.sqrt(n)
-                # [P, V] = 0 for the diagonal projector P and the diagonal V
-                proj = np.zeros(scenario.space.total_dim)
-                proj[br.indices] = 1.0
-                h = scenario.hamiltonian
-                if h is not None and np.abs(_commutator_with_diagonal(
-                        h.matrix, proj)).max(initial=0.0) > COMMUTE_TOL:
-                    continue
                 dev = np.abs(mean - mean[0])
                 report.ensemble[f"branch_martingale:{br.label}"] = {
                     "initial_weight": float(mean[0]), **_within(dev, se, z, m)

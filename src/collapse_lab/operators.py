@@ -295,8 +295,12 @@ def _rows(m: sp.csr_array) -> np.ndarray:
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
 
 
-def _diagonal_of(m: sp.csr_array) -> np.ndarray | None:
-    """The diagonal of ``m`` when every stored entry lies on it, else None."""
+def _diagonal_of(op) -> np.ndarray | None:
+    """The diagonal of an operator or array when every stored entry lies
+    on it, else None; an operator's is tested once."""
+    if isinstance(op, AssembledOperator):
+        return op._diagonal
+    m = op if isinstance(op, sp.csr_array) else _csr(op)
     return m.diagonal() if np.array_equal(m.indices, _rows(m)) else None
 
 
@@ -304,8 +308,7 @@ def _collapse_diagonal(vhat) -> np.ndarray:
     """The diagonal v of a collapse operator V = diag(v), given as an
     operator or an array: the master equation's V terms are masks built
     from it.  OperatorError if V has an off-diagonal entry."""
-    diag = vhat._diagonal if isinstance(vhat, AssembledOperator) \
-        else _diagonal_of(_csr(vhat))
+    diag = _diagonal_of(vhat)
     if diag is None:
         raise OperatorError("the collapse operator has off-diagonal entries; the "
                             "master-equation oracle and the audit need a diagonal V")
@@ -473,7 +476,9 @@ def _zero(space: CompositeSpace) -> sp.csr_array:
     return sp.csr_array((n, n), dtype=np.complex128)
 
 
-def _interaction_matrix(space: CompositeSpace, term: Term) -> sp.csr_array:
+def _interaction_diagonal(space: CompositeSpace, term: Term) -> tuple[np.ndarray, float]:
+    """The full-space diagonal of an interaction or spin-coupling term, and
+    the pair's combined mass."""
     if isinstance(term, InteractionTerm):
         labels = [term.subsystem_i, term.subsystem_j]
         table = term.potential(separation_table(space, *labels))
@@ -497,18 +502,8 @@ def _interaction_matrix(space: CompositeSpace, term: Term) -> sp.csr_array:
         )
     else:
         raise OperatorError(f"not an interaction term: {term}")
-    return _diagonal_csr(embed_diagonal(space, labels, table))
-
-
-def _term_masses(space: CompositeSpace, term: Term) -> float:
-    if isinstance(term, InteractionTerm):
-        return space.subsystem(term.subsystem_i).mass + space.subsystem(term.subsystem_j).mass
-    if isinstance(term, SpinCouplingTerm):
-        return (
-            space.subsystem(term.spin_subsystem).mass
-            + space.subsystem(term.pointer_subsystem).mass
-        )
-    raise OperatorError(f"not an interaction term: {term}")
+    mass = space.subsystem(labels[0]).mass + space.subsystem(labels[1]).mass
+    return embed_diagonal(space, labels, table), mass
 
 
 def assemble_hamiltonian(spec: OperatorSpec, space: CompositeSpace) -> AssembledOperator:
@@ -537,7 +532,7 @@ def assemble_hamiltonian(spec: OperatorSpec, space: CompositeSpace) -> Assembled
                 raise OperatorError("external potential contains non-finite samples")
             total = total + _diagonal_csr(embed_diagonal(space, [term.subsystem], samples))
         elif isinstance(term, (InteractionTerm, SpinCouplingTerm)):
-            total = total + _interaction_matrix(space, term)
+            total = total + _diagonal_csr(_interaction_diagonal(space, term)[0])
         else:
             raise OperatorError(f"unknown term type {type(term).__name__}")
     return AssembledOperator(space, total, hermitian=True)
@@ -560,7 +555,8 @@ def scaled_interaction_sum(spec: OperatorSpec, space: CompositeSpace) -> Assembl
         )
     total = _zero(space)
     for term in terms:
-        total = total + _interaction_matrix(space, term) * (1.0 / _term_masses(space, term))
+        diag, mass = _interaction_diagonal(space, term)
+        total = total + _diagonal_csr(diag) * (1.0 / mass)
     return AssembledOperator(space, total, hermitian=True)
 
 

@@ -90,8 +90,9 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
-        """The manifest of ``raw``; a missing field, or a trajectory entry
-        that is not an object naming its file, is a PersistError."""
+        """The manifest of ``raw``; a missing field, a trajectory entry that
+        is not an object naming one of the run's artifacts, or entries that
+        are not one per seed in seed order, is a PersistError."""
         try:
             manifest = cls(
                 config_hash=raw["config_hash"],
@@ -112,6 +113,17 @@ class RunManifest:
             if not isinstance(entry.get("file"), str):
                 raise PersistError(f"manifest trajectories[{i}] file "
                                    f"{entry.get('file')!r} is not a file name")
+            if entry["file"] not in manifest.artifacts:
+                raise PersistError(f"manifest trajectories[{i}] file {entry['file']!r} "
+                                   "is not one of the run's artifacts")
+            seed = entry.get("seed")  # one not an integer >= 0 is refused on load
+            if type(seed) is int and seed >= 0 and manifest.seeds[i:i + 1] != [seed]:
+                raise PersistError(f"manifest trajectories[{i}] seed {seed} is not "
+                                   f"seeds[{i}] of {_brief(manifest.seeds)}")
+        n, m = len(manifest.trajectories), len(manifest.seeds)
+        if n and n != m:
+            raise PersistError(f"manifest trajectories[{min(n, m)}]: {n} entries for "
+                               f"{m} seeds; a run lists one entry per seed")
         return manifest
 
 

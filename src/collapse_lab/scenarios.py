@@ -190,8 +190,7 @@ def _audits(config: ScenarioConfig, space: CompositeSpace, hamiltonian,
         elif kind == "total_quasimomentum":
             out.append(ConservedQuantity(name, operators("total_shift"), kind))
         elif kind == "spin_z":
-            out.append(ConservedQuantity(name, operators(kind, a["subsystem"]), kind,
-                                         subsystem=a["subsystem"]))
+            out.append(ConservedQuantity(name, operators(kind, a["subsystem"]), kind))
         else:
             op = assemble_hamiltonian(build_operator_spec(a["terms"]), space)
             out.append(ConservedQuantity(name, op, kind))

@@ -213,6 +213,28 @@ def test_names_that_split_the_run_csv_refused(breaker, path, old):
         "would split the columns of the run CSV"
     ]
 
+def test_plus_in_a_subsystem_label_refused():
+    # "a+b" would name the entropy column of both {a+b} and {a, b}
+    d = {
+        "space": {"subsystems": [{"label": label, "kind": "spin", "dim": 2}
+                                 for label in ("a", "b", "a+b", "c")]},
+        "initial_state": {"kind": "product", "factors": {
+            label: [1.0, 0.0] for label in ("a", "b", "a+b", "c")}},
+        "plan": {"dt": 0.001, "n_steps": 10},
+        "bipartitions": [["a+b"], ["a", "b"]],
+    }
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert err.value.errors == [
+        "space.subsystems[2].label: 'a+b' holds '+', which joins the labels of a "
+        "bipartition's entropy column"
+    ]
+    d["space"]["subsystems"][2]["label"] = "ab"
+    d["initial_state"]["factors"]["ab"] = d["initial_state"]["factors"].pop("a+b")
+    d["bipartitions"] = [["ab"], ["a", "b"]]
+    assert realize(from_dict(d)).bipartitions[1].name() == "a+b"
+
+
 def test_amplitude_pairs_normalized():
     d = minimal_qnd_dict()
     d["initial_state"]["factors"]["spin"] = [[1.0, 0.5], 0.25]

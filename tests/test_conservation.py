@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import collapse_lab as cl
@@ -31,6 +33,12 @@ from collapse_lab.operators import AssembledOperator, embed_operator, momentum_o
 from collapse_lab.scenarios import builtin_names, builtin_scenario, realize
 
 from conftest import SIGMA_X, SIGMA_Z, make_realized
+
+
+def _csr_commutator(a, b) -> float:
+    """Max-norm of AB - BA from the two CSR products."""
+    am, bm = conservation._csr(a), conservation._csr(b)
+    return float(np.abs((am @ bm - bm @ am).data).max(initial=0.0))
 
 
 def _value(op, psi):
@@ -176,6 +184,54 @@ class TestCommutatorCertificate:
         cert = commutator_certificate(t.matrix, sc.hamiltonian.matrix, 1e-12)
         assert cert.passed
 
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_operators_match_the_csr_products(self, name):
+        # every pair of H, V and the audit quantities, in both orders
+        sc = realize(builtin_scenario(name))
+        ops = [op for op in (sc.hamiltonian, sc.collapse_op) if op is not None]
+        ops += [q.operator for q in sc.quantities]
+        for a in ops:
+            for b in ops:
+                assert commutator_certificate(a, b).value == _csr_commutator(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 16))
+    def test_diagonal_side_matches_the_csr_products(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m[rng.random((dim, dim)) < 0.5] = 0.0
+        d = rng.standard_normal(dim)  # a Hermitian diagonal: the same bits
+        d[rng.random(dim) < 0.25] = 0.0
+        for diag in (np.diag(d), sp.csr_array(np.diag(d))):
+            for a, b in ((m, diag), (diag, m), (diag, np.diag(d[::-1]))):
+                assert commutator_certificate(a, b).value == _csr_commutator(a, b)
+        # numpy may fuse a complex product, so a complex diagonal agrees to rounding
+        phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim)))
+        for a, b in ((m, phases), (phases, m)):
+            gap = commutator_certificate(a, b).value - _csr_commutator(a, b)
+            assert abs(gap) <= 4 * np.finfo(float).eps * np.abs(m).max()
+
+    def test_no_matrix_product_for_a_diagonal_side_or_itself(self, monkeypatch):
+        qnd = realize(builtin_scenario("qnd-two-level"))
+        coll = realize(builtin_scenario("two-particle-collision"))
+        energy, tshift = coll.quantities
+        products = []
+        matmul = sp.csr_array.__matmul__
+
+        def spy(self, other):
+            if sp.issparse(other):
+                products.append(other.shape)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sp.csr_array, "__matmul__", spy)
+        for sc, q in ((qnd, qnd.quantities[0]), (coll, energy)):
+            classify_quantity(q, sc.hamiltonian, sc.collapse_op, sc.psi0)
+        assert commutator_certificate(SIGMA_X, SIGMA_X).value == 0.0
+        assert commutator_certificate(SIGMA_X, SIGMA_Z).value == 2.0
+        assert products == []
+        classify_quantity(tshift, coll.hamiltonian, coll.collapse_op, coll.psi0)
+        assert products == [(4096, 4096), (4096, 4096)]  # [T, H] alone
+
 
 class TestClassification:
     def test_exact_class(self, two_qubit_space):
@@ -317,6 +373,10 @@ class TestBranchTotalCheck:
         energy = next(q for q in report.quantities if q.name == "energy")
         assert energy.branch_check is not None
         assert energy.branch_check["passed"] is True
+        bc = energy.branch_check
+        line = (f"         branch total: |deviation| {bc['deviation']:.3e} "
+                f"<= bound {bc['bound']:.3e} [pass]")
+        assert line in report.text_summary().split("\n")
         payload = json.loads(report.to_json())
         assert payload["quantities"][1]["branch_check"]["passed"] is True
 
@@ -506,6 +566,39 @@ def test_oracle_solved_once_per_audit(monkeypatch):
     assert report.ensemble["oracle:kin"]["passed"]
     assert report.passed
 
+def _short(name, n_steps=20, record_every=10, **changes) -> "cl.ScenarioConfig":
+    d = builtin_scenario(name).to_dict()
+    d["plan"].update(n_steps=n_steps, record_every=record_every)
+    d.update(changes)
+    return from_dict(d)
+
+
+def test_oracle_skipped_above_its_dimension():
+    sc = realize(_short("two-particle-collision"))
+    _, records = run_ensemble(sc, 2, base_seed=0, keep_records=True)
+    report = audit_run(records, list(sc.quantities), sc)
+    energy = next(q for q in report.quantities if q.name == "energy")
+    assert energy.classification == "lindblad-governed"
+    assert "oracle:energy" not in report.ensemble
+    assert report.notes == [
+        "audited 2 trajectories",
+        "energy: oracle comparison skipped (dim 4096 > 16); per-trajectory bounds only",
+    ]
+
+
+def test_branch_weights_that_do_not_commute_with_h_are_not_tested():
+    # stern-gerlach's pointer halves: the kinetic term moves weight between them
+    half = builtin_scenario("stern-gerlach").to_dict()["space"]["subsystems"][1]["dim"] // 2
+    halves = [{"label": label, "subsystem": "pointer", "sites": list(sites)}
+              for label, sites in (("left", range(half)), ("right", range(half, 2 * half)))]
+    for changes, tested in (({}, {"up", "down"}), ({"branches": halves}, set())):
+        sc = realize(_short("stern-gerlach", **changes))
+        _, records = run_ensemble(sc, 2, base_seed=0, keep_records=True)
+        report = audit_run(records, list(sc.quantities), sc)
+        assert {k.split(":")[1] for k in report.ensemble
+                if k.startswith("branch_martingale:")} == tested
+
+
 @pytest.mark.parametrize("name", [n for n in builtin_names() if builtin_scenario(n).audits])
 def test_double_commutator_mask_matches_csr(name):
     """Gamma o Q, Gamma_xy = (v_x - v_y)^2, is the CSR [V, [V, Q]] to
@@ -538,6 +631,9 @@ def test_non_diagonal_collapse_operator_refused(qubit_space):
         lindblad_oracle(SIGMA_Z, SIGMA_X, rho0, plan)
     with pytest.raises(OperatorError, match="off-diagonal"):
         lindblad_drift_rate_bound(SIGMA_Z, sc.collapse_op)
+    with pytest.raises(OperatorError, match="off-diagonal"):
+        classify_quantity(ConservedQuantity("sz", sz), sc.hamiltonian, sc.collapse_op,
+                          sc.psi0)
     for quantities in ([ConservedQuantity("sz", sz, "spin_z")], []):
         with pytest.raises(OperatorError, match="off-diagonal"):
             audit_run(records, quantities, sc)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -713,3 +716,69 @@ def test_manifest_entry_without_a_file_name_refused(tmp_path, capsys, bad_entry,
     err = capsys.readouterr().err
     assert err == f"error: manifest trajectories[0] {message}\n"
     assert not (out / "audit.json").exists()
+
+
+def test_entry_outside_the_run_refused(tmp_path, capsys):
+    # the CSV moved out of the run directory, its entry pointed after it
+    out = tmp_path / "run"
+    assert cli_run(["run", "--config", "qnd-two-level", "--seed", "3",
+                    "--out-dir", str(out), "--quiet"]) == 0
+    (tmp_path / "elsewhere").mkdir()
+    (out / "trajectory_seed3.csv").rename(tmp_path / "elsewhere" / "trajectory_seed3.csv")
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["trajectories"][0]["file"] = "../elsewhere/trajectory_seed3.csv"
+    (out / "manifest.json").write_text(json.dumps(raw))
+    message = ("manifest trajectories[0] file '../elsewhere/trajectory_seed3.csv' "
+               "is not one of the run's artifacts")
+    with pytest.raises(PersistError) as refusal:
+        load_manifest(out)
+    assert str(refusal.value) == message
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "audit.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda entries: entries[:2], "trajectories[2]: 2 entries for 5 seeds; a run "
+                                  "lists one entry per seed"),
+    (lambda entries: entries[:1] + entries[2:], "trajectories[1] seed 42 is not "
+                                                "seeds[1] of [40, ..., 44] (5 seeds)"),
+    (lambda entries: [entries[1], entries[0], *entries[2:]],
+     "trajectories[0] seed 41 is not seeds[0] of [40, ..., 44] (5 seeds)"),
+    (lambda entries: entries + entries[:1], "trajectories[5] seed 40 is not "
+                                            "seeds[5] of [40, ..., 44] (5 seeds)"),
+], ids=["dropped-tail", "dropped-middle", "swapped", "repeated"])
+def test_entries_must_be_the_runs_seeds_in_order(tmp_path, capsys, edit, message):
+    _, _, out = small_ensemble(tmp_path)
+    raw = json.loads((out / "manifest.json").read_text())
+    assert raw["seeds"] == [40, 41, 42, 43, 44]
+    raw["trajectories"] = edit(raw["trajectories"])
+    (out / "manifest.json").write_text(json.dumps(raw))
+    with pytest.raises(PersistError) as refusal:
+        load_manifest(out)
+    assert str(refusal.value) == f"manifest {message}"
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: manifest {message}\n"
+
+
+def test_audit_of_a_config_without_audits_exits_1(tmp_path, capsys):
+    d = small_qnd_config().to_dict()
+    d["audits"] = []
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "plain"
+    assert cli_run(["ensemble", "--config", str(path), "--n-traj", "4",
+                    "--keep-trajectories", "--out-dir", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: config declares no audits; nothing to certify\n"
+    assert not (out / "audit.json").exists()
+
+
+def test_module_entry_point_prints_the_version():
+    env = {**os.environ, "PYTHONPATH": str(Path(cl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "collapse_lab", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout == f"{cl.__version__}\n"

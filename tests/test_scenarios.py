@@ -170,3 +170,14 @@ def test_audit_quantities_built_once_and_shared(name):
     sz = next(o for o in sc.observables if o.name == "sz")
     assert quantity.name == "sz_audit"
     assert quantity.operator is sz.op
+
+
+def test_energy_and_total_shift_observables():
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["observables"] += [{"name": "e", "kind": "energy"},
+                         {"name": "shift", "kind": "total_shift"}]
+    sc = realize(from_dict(d))
+    ops = {o.name: o.op for o in sc.observables}
+    tshift = next(q.operator for q in sc.quantities if q.kind == "total_quasimomentum")
+    assert ops["e"] is sc.hamiltonian and ops["shift"] is tshift
+    assert (ops["shift"].matrix != cl.total_shift_generator(sc.space).matrix).nnz == 0
