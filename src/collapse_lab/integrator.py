@@ -22,7 +22,11 @@ its dissipator as the mask -(1/2)(v_x - v_y)^2 rho_xy and H in CSR.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import mmap
+import multiprocessing
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
@@ -50,7 +54,6 @@ __all__ = [
     "run_ensemble",
     "ensemble_seeds",
     "lindblad_oracle",
-    "trace_distance",
     "check_stability",
 ]
 
@@ -386,7 +389,10 @@ def run_trajectory(
     """
     sc = _ensure_realized(scenario)
     seed = sc.plan.seed if seed is None else seed
-    return _records(sc, [seed], _run_chunk_batched(sc, [seed], record_states))[0]
+    check_stability(sc.plan, sc.collapse_op)
+    out = _chunk_block(sc, 1, record_states)
+    _run_chunk_batched(sc, [seed], out)
+    return _records(sc, [seed], out)[0]
 
 
 @dataclass(eq=False)
@@ -439,12 +445,19 @@ def run_ensemble(
 ) -> tuple[EnsembleStats, list[TrajectoryRecord]]:
     """Run ``n_traj`` trajectories with seeds base_seed + index.
 
-    Trajectories run in lock-step chunks of at most ``BATCH_AMPLITUDES``
-    amplitudes, whose blocks are summed column by column in seed order, so
-    results are reproducible; several chunks differ from one only by the
-    reassociation of the sums and the merge of the chunks' variances
-    (:func:`_fold`).  Returns (stats, records); ``records`` is
-    empty, and no record is built, unless ``keep_records``.
+    Trajectories run in lock-step chunks of balanced sizes that depend on
+    ``n_traj`` and the dimension only (:func:`_chunk_sizes`).  With two
+    chunks or more, two usable CPUs or more and ``fork``, forked workers
+    run chunks beside this process, which runs its share too; each chunk
+    writes its rows in place into one ensemble block in shared memory.
+    The chunks' blocks are summed column by column in seed order and
+    folded in chunk order, so results do not depend on the number of
+    processes; several chunks differ from one only by the reassociation of
+    the sums and the merge of the chunks' variances (:func:`_fold`).
+    Returns (stats, records); ``records`` is empty, and no record is built,
+    unless ``keep_records``: then each record's table is a view of the
+    block's row.  Without it the block holds only the chunks in flight.
+    No worker outlives the call, on success or on error.
     """
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
@@ -455,35 +468,51 @@ def run_ensemble(
             "density recording is limited to total_dim <= 64; average "
             "projectors of larger systems are not materialized"
         )
+    check_stability(sc.plan, sc.collapse_op)
 
     seeds = ensemble_seeds(base_seed, n_traj)
-    size = max(1, BATCH_AMPLITUDES // d)
+    sizes = _chunk_sizes(n_traj, d)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    n_proc = _processes(len(sizes))
+    # kept records are views of one n_traj-row block; otherwise the chunks
+    # of one process share rows, one chunk per process in flight
+    block = _chunk_block(sc, n_traj if keep_records else n_proc * sizes[0],
+                         record_density)
+
+    def rows(i: int) -> _Chunk:
+        lo = starts[i] if keep_records else i % n_proc * sizes[0]
+        return block.rows(lo, lo + sizes[i])
+
+    def run(i: int) -> None:
+        _run_chunk_batched(sc, seeds[starts[i]:starts[i + 1]], rows(i))
+
     # column totals of the series and their centered sums of squares, from
     # 0.0 as a row-by-row sum: a column of -0.0 totals +0.0
     obs_sum, obs_m2, w_sum, w_m2, ent_sum = (defaultdict(float) for _ in range(5))
     labels = [*(br.label for br in sc.branches), "uncollapsed"]  # [-1]: none
     outcomes: Counter[str] = Counter()
-    drift, records = [], []
+    drift, records = np.empty(n_traj), []
     density = np.zeros((sc.plan.n_records, d, d), complex) if record_density else None
-    for start in range(0, n_traj, size):
-        part = seeds[start:start + size]
-        chunk = _run_chunk_batched(sc, part, record_density)
-        roles = _column_roles(chunk.columns)
-        observables, weights, entropies, _ = roles.series(chunk.table)
-        _fold(obs_sum, obs_m2, observables, start)
-        _fold(w_sum, w_m2, weights, start)
-        for k, block in entropies.items():
-            ent_sum[k] += block.sum(axis=0)
-        outcomes.update(labels[i] for i in chunk.collapse_branch.tolist())
-        drift.append(chunk.drift_mean)
-        if density is not None:
-            density += np.einsum("bti,btj->tij", chunk.states, chunk.states.conj())
-        if keep_records:
-            records.extend(_records(sc, part, chunk))
+    with _ChunkRunner(run, len(sizes), n_proc, reuse=not keep_records) as runner:
+        for i, (start, stop) in enumerate(zip(starts, starts[1:])):
+            runner.ready(i)
+            chunk = rows(i)
+            roles = _column_roles(chunk.columns)
+            observables, weights, entropies, _ = roles.series(chunk.table)
+            _fold(obs_sum, obs_m2, observables, start)
+            _fold(w_sum, w_m2, weights, start)
+            for k, part in entropies.items():
+                ent_sum[k] += part.sum(axis=0)
+            outcomes.update(labels[j] for j in chunk.collapse_branch.tolist())
+            drift[start:stop] = chunk.drift_mean
+            if density is not None:
+                density += np.einsum("bti,btj->tij", chunk.states, chunk.states.conj())
+            if keep_records:
+                records.extend(_records(sc, seeds[start:stop], chunk))
+            runner.release(i)
 
     obs_mean, obs_var, obs_se = _moments(obs_sum, obs_m2, n_traj)
     w_mean, _, w_se = _moments(w_sum, w_m2, n_traj)
-    drift = np.concatenate(drift)
     return EnsembleStats(
         times=chunk.table[0, 0].copy(),  # column t: the same in every row
         n_traj=n_traj,
@@ -527,20 +556,44 @@ def _moments(sums: dict, m2: dict, n: int) -> tuple[dict, dict, dict]:
 
 # Blocks of states larger than this many amplitudes drop out of the CPU
 # caches; at d = 4096 a 512-trajectory chunk ran 1.75x slower per
-# trajectory-step than one trajectory at a time.  At small d a step costs
-# per row, so the chunk grows to 8192 trajectories at d = 4.
+# trajectory-step than one trajectory at a time.
 BATCH_AMPLITUDES = 1 << 15
+# At small d a step costs per row, and past this many rows the block and
+# its temporaries leave the L2 cache: at d = 4 a step cost 125 ns per row
+# at 2048 rows and 228 ns at 8192.  The cap also gives an ensemble of
+# 2000 trajectories at d = 4 two chunks, which two cores run side by side.
+BATCH_ROWS = 1 << 10
 # Noise increments drawn at once per chunk (4 MB of complex128); drawing
 # a whole qnd-two-level run at once took 41 MB for 512 trajectories.
 NOISE_INCREMENTS = 1 << 18
+
+
+def _chunk_sizes(n_traj: int, d: int) -> list[int]:
+    """The sizes of an ensemble's chunks, which depend on ``n_traj`` and
+    the dimension ``d`` only: as few chunks as keep each within
+    ``BATCH_AMPLITUDES`` amplitudes and ``BATCH_ROWS`` rows, balanced to
+    differ by at most one row, the larger first."""
+    cap = max(1, min(BATCH_ROWS, BATCH_AMPLITUDES // d))
+    n_chunks = -(-n_traj // cap)
+    size, extra = divmod(n_traj, n_chunks)
+    return [size + 1] * extra + [size] * (n_chunks - extra)
+
+
+def _processes(n_chunks: int) -> int:
+    """How many processes run ``n_chunks`` chunks: one per usable CPU, at
+    most one per chunk, and only the caller's without ``fork``."""
+    if (n_chunks < 2 or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(n_chunks, len(os.sched_getaffinity(0)))
 
 
 class _Chunk(NamedTuple):
     """The arrays of trajectories integrated together: the ``columns`` of
     their tables and the (b, n_columns, n_records) ``table``, whose row i
     is trajectory i's :class:`TrajectoryRecord` table, and per row the
-    collapse step and branch index (-1 if none), the mean of (norm - 1)
-    over every step, the final state and, if recorded, the (n_records, d)
+    final state, the collapse step and branch index (-1 if none), the mean
+    of (norm - 1) over every step and, if recorded, the (n_records, d)
     states."""
 
     columns: tuple[str, ...]
@@ -551,12 +604,116 @@ class _Chunk(NamedTuple):
     drift_mean: np.ndarray
     states: np.ndarray | None
 
+    def rows(self, lo: int, hi: int) -> "_Chunk":
+        """Rows ``lo:hi`` of every array, as views."""
+        return _Chunk(self.columns, *(None if a is None else a[lo:hi] for a in self[1:]))
+
+
+def _partitions(sc: RealizedScenario) -> list[Bipartition]:
+    """The scenario's bipartitions, one per entropy column: a config may
+    list one twice."""
+    return list({part.name(): part for part in sc.bipartitions}.values())
+
+
+def _chunk_block(sc: RealizedScenario, rows: int, record_states: bool) -> _Chunk:
+    """Arrays for ``rows`` trajectories of ``sc``, to be written by
+    :func:`_run_chunk_batched`, in one anonymous shared mapping: processes
+    forked after it write into the same memory."""
+    columns = _column_names(
+        [(o.name, o.is_complex) for o in sc.observables],
+        [br.label for br in sc.branches],
+        [part.name() for part in _partitions(sc)],
+        sc.qv_tracks,
+    )
+    n_rec, d = sc.plan.n_records, sc.space.total_dim
+    layout = [(np.float64, (rows, len(columns), n_rec)), (np.complex128, (rows, d)),
+              (np.int64, (rows,)), (np.int64, (rows,)), (np.float64, (rows,))]
+    if record_states:
+        layout.append((np.complex128, (rows, n_rec, d)))
+    offsets = [0]
+    for dtype, shape in layout:  # each array starts on a 64-byte line
+        size = np.dtype(dtype).itemsize * math.prod(shape)
+        offsets.append(offsets[-1] + -(-size // 64) * 64)
+    buf = mmap.mmap(-1, offsets[-1])
+    arrays = [np.ndarray(shape, dtype, buffer=buf, offset=offset)
+              for (dtype, shape), offset in zip(layout, offsets)]
+    return _Chunk(columns, *arrays[:5], arrays[5] if record_states else None)
+
+
+class _ChunkRunner:
+    """Runs an ensemble's ``n_chunks`` chunks, ``run(i)`` each, on
+    ``n_proc`` processes.  The caller's process runs the chunks i with
+    i % n_proc == 0; worker p, forked on entry, runs those with
+    i % n_proc == p and reports each on its pipe, or the error it raised.
+    When ``reuse``, a worker's chunks share rows, so it writes the next
+    only after the caller has released the last.  On exit every worker is
+    joined, and on error killed first: none outlives the ensemble."""
+
+    def __init__(self, run, n_chunks: int, n_proc: int, reuse: bool):
+        self.run, self.n_chunks, self.n_proc, self.reuse = run, n_chunks, n_proc, reuse
+        self.workers = []
+
+    def __enter__(self) -> "_ChunkRunner":
+        context = multiprocessing.get_context("fork")
+        try:
+            for p in range(1, self.n_proc):
+                conn, child_conn = context.Pipe()
+                worker = context.Process(target=self._work, args=(child_conn, p))
+                worker.start()
+                child_conn.close()  # so that a dead worker reads as EOF
+                self.workers.append((worker, conn))
+        except BaseException:
+            self.__exit__(True, None, None)
+            raise
+        return self
+
+    def _work(self, conn, p: int) -> None:
+        """A worker's loop, in the forked process."""
+        try:
+            for j, i in enumerate(range(p, self.n_chunks, self.n_proc)):
+                if j and self.reuse:
+                    conn.recv()
+                self.run(i)
+                conn.send(i)
+        except Exception as exc:
+            conn.send(exc)
+
+    def ready(self, i: int) -> None:
+        """Return once chunk i is written: run it here, or wait for its
+        worker and raise the error the worker sent."""
+        p = i % self.n_proc
+        if not p:
+            self.run(i)
+            return
+        worker, conn = self.workers[p - 1]
+        try:
+            message = conn.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(f"an ensemble worker exited with code "
+                                    f"{worker.exitcode} before chunk {i}") from None
+        if isinstance(message, BaseException):
+            raise message
+
+    def release(self, i: int) -> None:
+        """Let the worker of chunk i write its next chunk over it."""
+        p = i % self.n_proc
+        if p and self.reuse and i + self.n_proc < self.n_chunks:
+            self.workers[p - 1][1].send(None)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for worker, conn in self.workers:
+            if exc_type is not None:
+                worker.kill()
+            worker.join()
+            conn.close()
+
 
 def _records(sc: RealizedScenario, seeds: list[int],
              chunk: _Chunk) -> list[TrajectoryRecord]:
     """One :class:`TrajectoryRecord` per row of the chunk run for
-    ``seeds``.  Its table is a view of the chunk's row, so that a chunk of
-    thousands of trajectories is not held twice."""
+    ``seeds``.  Its table is a view of the chunk's row, so that an
+    ensemble of thousands of trajectories is not held twice."""
     labels = [*(br.label for br in sc.branches), None]  # [-1]: none
     steps = [None if s < 0 else s for s in chunk.collapse_step.tolist()]
     return [
@@ -575,21 +732,20 @@ def _records(sc: RealizedScenario, seeds: list[int],
     ]
 
 
-def _run_chunk_batched(
-    sc: RealizedScenario, seeds: list[int], record_states: bool
-) -> _Chunk:
-    """Integrate a block of trajectories in lock-step and return its arrays.
+def _run_chunk_batched(sc: RealizedScenario, seeds: list[int], out: _Chunk) -> None:
+    """Integrate a block of trajectories in lock-step, writing row i of
+    every array of ``out`` (rows of a :func:`_chunk_block`) for ``seeds[i]``;
+    the states only if ``out`` has them.
 
     Each trajectory consumes its own generator stream, seeded by its seed,
     so a trajectory does not depend on the batch it runs in beyond
     rounding.  A single trajectory is a batch of one.  Increments are drawn
     ``NOISE_INCREMENTS // len(seeds)`` steps at a time; blocks of one
-    stream give the same values as one long draw.
+    stream give the same values as one long draw.  The caller checks the
+    plan's stability.
     """
     plan = sc.plan
-    check_stability(plan, sc.collapse_op)
     b = len(seeds)
-    d = sc.space.total_dim
     dt = plan.dt
     h, v = sc.hamiltonian, sc.collapse_op
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -607,25 +763,17 @@ def _run_chunk_batched(
 
     psi = np.tile(sc.psi0.amplitudes, (b, 1))
 
-    n_rec = plan.n_records
-    # one entropy column per partition: a config may list one twice
-    parts = list({part.name(): part for part in sc.bipartitions}.values())
-    columns = _column_names(
-        [(o.name, o.is_complex) for o in sc.observables],
-        [br.label for br in sc.branches],
-        [part.name() for part in parts],
-        sc.qv_tracks,
-    )
-    table = np.empty((b, len(columns), n_rec))
+    parts = _partitions(sc)
+    table, states = out.table, out.states
     # integer product first: bit-equal to step * dt at every recorded step
-    table[:, 0] = (np.arange(n_rec) * plan.record_every) * dt
+    table[:, 0] = (np.arange(plan.n_records) * plan.record_every) * dt
     qv_accum = np.zeros(b)
-    states = np.empty((b, n_rec, d), dtype=np.complex128) if record_states else None
 
-    collapse_step = np.full(b, -1, dtype=np.int64)
-    collapse_branch = np.full(b, -1, dtype=np.int64)
+    collapse_step, collapse_branch = out.collapse_step, out.collapse_branch
+    collapse_step.fill(-1)
+    collapse_branch.fill(-1)
     drift_sum = np.zeros(b)
-    indicator = _branch_indicator(sc.branches, d)
+    indicator = _branch_indicator(sc.branches, sc.space.total_dim)
 
     def branch_weights(block: np.ndarray) -> np.ndarray:
         f = block.view(np.float64)
@@ -686,8 +834,8 @@ def _run_chunk_batched(
             record(idx, nrm)
             idx += 1
 
-    return _Chunk(columns, table, psi, collapse_step, collapse_branch,
-                  drift_sum / plan.n_steps, states)
+    out.psi[:] = psi
+    out.drift_mean[:] = drift_sum / plan.n_steps
 
 
 # --------------------------------------------------------------------------
@@ -756,8 +904,3 @@ def lindblad_oracle(
             checkpoints[i // plan.record_every] = rho
     return checkpoints
 
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of (a - b) for Hermitian matrices."""
-    diff = np.asarray(a) - np.asarray(b)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

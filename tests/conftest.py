@@ -20,6 +20,12 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * 0.5 * (a + a.conj().T)
 
 
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) * trace norm of (a - b) for Hermitian matrices."""
+    diff = np.asarray(a) - np.asarray(b)
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
 def make_realized(space, hamiltonian, vhat, psi0, plan, observables=(), branches=(),
                   bipartitions=(), qv_tracks=()):
     """Directly wire operators into a runnable scenario (no config layer)."""

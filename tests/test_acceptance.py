@@ -20,12 +20,11 @@ from collapse_lab.integrator import (
     lindblad_oracle,
     run_ensemble,
     run_trajectory,
-    trace_distance,
 )
 from collapse_lab.scenarios import builtin_scenario, realize
 from collapse_lab.wavepacket import ELECTRON_MASS_SI, HBAR_SI
 
-from conftest import SIGMA_X, SIGMA_Z, make_realized
+from conftest import SIGMA_X, SIGMA_Z, make_realized, trace_distance
 
 
 @contextmanager

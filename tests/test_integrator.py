@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,13 +22,19 @@ from collapse_lab.integrator import (
     lindblad_oracle,
     run_ensemble,
     run_trajectory,
-    trace_distance,
 )
 from collapse_lab.operators import AssembledOperator
 from collapse_lab.persist import trajectory_csv_text
 from collapse_lab.scenarios import builtin_scenario, realize
 
-from conftest import SIGMA_X, SIGMA_Z, make_realized, random_hermitian, random_state
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    make_realized,
+    random_hermitian,
+    random_state,
+    trace_distance,
+)
 
 
 def assert_same_trajectory(single, rec):
@@ -245,10 +255,12 @@ class TestRunEnsemble:
         sizes = []
         run_chunk = integrator._run_chunk_batched
 
-        def spy(scenario, seeds, record_states):
+        def spy(scenario, seeds, out):
             sizes.append(len(seeds))
-            return run_chunk(scenario, seeds, record_states)
+            return run_chunk(scenario, seeds, out)
 
+        # one usable CPU: every chunk runs in this process, where the spy is
+        monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(integrator, "_run_chunk_batched", spy)
         monkeypatch.setattr(
             integrator, "BATCH_AMPLITUDES", 2 * sc.space.total_dim
@@ -760,7 +772,8 @@ class TestTable:
         sc = realize(builtin_scenario("two-particle-collision"))
         sc.plan = IntegrationPlan(dt=sc.plan.dt, n_steps=20, record_every=10)
         seeds = [4, 5, 6]
-        chunk = integrator._run_chunk_batched(sc, seeds, False)
+        chunk = integrator._chunk_block(sc, len(seeds), False)
+        integrator._run_chunk_batched(sc, seeds, chunk)
         records = integrator._records(sc, seeds, chunk)
         assert chunk.table.shape == (3, len(chunk.columns), 3)
         complex_names = {n[:-3] for n in chunk.columns if n.endswith("_im")}
@@ -788,3 +801,182 @@ class TestTable:
                 TrajectoryRecord(columns, bad, None, 0, plan)
         with pytest.raises(DimensionError, match="no t column"):
             TrajectoryRecord(("u", "norm_pre", "x"), table, None, 0, plan)
+
+
+def assert_identical_stats(a, b):
+    """Every field of two EnsembleStats equal, bit for bit."""
+    for key, x in vars(a).items():
+        y = getattr(b, key)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys(), key
+            for k in x:
+                assert np.array_equal(x[k], y[k]), (key, k)
+        else:
+            assert np.array_equal(x, y), key
+
+
+def short_qnd(n_steps: int = 200):
+    d = builtin_scenario("qnd-two-level").to_dict()
+    d["plan"].update({"n_steps": n_steps, "record_every": 50})
+    return realize(from_dict(d))
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make ``n`` CPUs usable as far as run_ensemble can tell."""
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that has not finished in 60 s, rather than wait on a
+    stalled worker forever: its workers are killed, so that no join hangs."""
+    def stalled(signum, frame):
+        for worker in multiprocessing.active_children():
+            worker.kill()
+        raise TimeoutError("the test did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 100_000), d=st.integers(1, 1 << 16))
+    def test_chunk_sizes_are_balanced(self, n, d):
+        sizes = integrator._chunk_sizes(n, d)
+        cap = max(1, min(integrator.BATCH_ROWS, integrator.BATCH_AMPLITUDES // d))
+        assert sum(sizes) == n and len(sizes) == -(-n // cap)
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] <= cap and sizes[0] - sizes[-1] <= 1
+
+    @pytest.mark.parametrize("n, d, sizes", [
+        (2000, 4, [1000, 1000]),  # qnd-two-level
+        (2100, 4, [700, 700, 700]),
+        (64, 96, [64]),  # stern-gerlach
+        (1, 4096, [1]),  # one collision trajectory
+        (9, 4096, [5, 4]),
+    ])
+    def test_chunk_sizes_depend_on_n_and_d_only(self, n, d, sizes):
+        assert integrator._chunk_sizes(n, d) == sizes
+
+    def test_ensemble_runs_those_chunks_whatever_the_cpus(self, monkeypatch):
+        sc = short_qnd(50)
+        seen = []
+        run_chunk = integrator._run_chunk_batched
+
+        def spy(scenario, seeds, out):
+            seen.append(len(seeds))
+            return run_chunk(scenario, seeds, out)
+
+        monkeypatch.setattr(integrator, "_run_chunk_batched", spy)
+        expected = integrator._chunk_sizes(2100, sc.space.total_dim)
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            for keep in (False, True):
+                run_ensemble(sc, 2100, keep_records=keep)
+                # the spy sees the chunks of this process: every cpus-th
+                assert seen == expected[::cpus]
+                seen.clear()
+
+    def test_workers_give_what_one_cpu_gives(self, monkeypatch):
+        sc = short_qnd(600)  # about a quarter of the rows collapse
+        processes = []
+        count = integrator._processes
+
+        def spy(n_chunks):
+            processes.append(count(n_chunks))
+            return processes[-1]
+
+        monkeypatch.setattr(integrator, "_processes", spy)
+        results = {}
+        for cpus in (2, 1):
+            use_cpus(monkeypatch, cpus)
+            results[cpus] = [run_ensemble(sc, 2100, base_seed=40, record_density=True,
+                                          keep_records=keep) for keep in (True, False)]
+        assert processes == [2, 2, 1, 1]
+        assert multiprocessing.active_children() == []
+        (forked, forked_recs), (forked_unkept, _) = results[2]
+        (serial, serial_recs), (serial_unkept, _) = results[1]
+        assert len(forked.outcome_counts) == 3
+        for stats in (forked, forked_unkept, serial_unkept):
+            assert_identical_stats(stats, serial)
+        assert [r.seed for r in forked_recs] == [40 + i for i in range(2100)]
+        block = forked_recs[0].table.base
+        assert block.shape[0] == 2100
+        for one, rec in zip(serial_recs, forked_recs):
+            assert rec.table.base is block
+            assert np.array_equal(one.table, rec.table)
+            assert np.array_equal(one.states, rec.states)
+            assert np.array_equal(one.final_state.amplitudes, rec.final_state.amplitudes)
+            assert (one.collapse_step, one.collapsed_branch, one.norm_drift_mean) == (
+                rec.collapse_step, rec.collapsed_branch, rec.norm_drift_mean)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_block_holds_the_chunks_in_flight_unless_kept(self, monkeypatch, keep):
+        sc = short_qnd()
+        monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 2 * sc.space.total_dim)
+        rows = []
+        block = integrator._chunk_block
+
+        def spy(scenario, n, record_states):
+            rows.append(n)
+            return block(scenario, n, record_states)
+
+        monkeypatch.setattr(integrator, "_chunk_block", spy)
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            results.append(run_ensemble(sc, 12, base_seed=3, keep_records=keep)[0])
+        # six chunks of two rows: one chunk per process, or every row kept
+        assert rows == ([12, 12] if keep else [2, 4])
+        assert_identical_stats(*results)
+
+    def test_more_workers_than_cores_reusing_rows(self, monkeypatch):
+        # 4 processes, 24 chunks of 5 rows in 4 chunks' rows: a worker that
+        # wrote over its rows before they were folded would change the
+        # statistics, and a worker left waiting would stall the ensemble
+        sc = short_qnd(600)
+        monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 5 * sc.space.total_dim)
+        use_cpus(monkeypatch, 4)
+        forked, _ = run_ensemble(sc, 120, base_seed=8)
+        assert multiprocessing.active_children() == []
+        use_cpus(monkeypatch, 1)
+        serial, _ = run_ensemble(sc, 120, base_seed=8)
+        assert len(serial.outcome_counts) == 3
+        assert_identical_stats(forked, serial)
+
+    @pytest.mark.parametrize("chunk, fault", [
+        (0, "raise"),  # this process's first chunk: the worker waits or runs on
+        (1, "raise"),  # a worker's first chunk
+        (3, "raise"),  # a worker's chunk after this process released its rows
+        (2, "raise"),  # a later chunk of this process
+        (1, "exit"),  # a worker that dies without a word
+    ])
+    def test_a_failed_chunk_fails_the_ensemble_and_leaves_no_worker(
+            self, monkeypatch, chunk, fault):
+        sc = short_qnd()
+        sizes = integrator._chunk_sizes(3100, sc.space.total_dim)
+        assert len(sizes) == 4  # chunks 0 and 2 here, 1 and 3 in the worker
+        failing = 5 + sum(sizes[:chunk])
+        run_chunk = integrator._run_chunk_batched
+
+        def faulty(scenario, seeds, out):
+            if seeds[0] == failing:
+                if fault == "exit":
+                    os._exit(3)
+                raise NumericalError(f"chunk from seed {seeds[0]} failed")
+            return run_chunk(scenario, seeds, out)
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(integrator, "_run_chunk_batched", faulty)
+        error, match = ((NumericalError, f"^chunk from seed {failing} failed$")
+                        if fault == "raise" else
+                        (ChildProcessError, "exited with code 3 before chunk 1"))
+        for keep in (False, True):
+            with pytest.raises(error, match=match):
+                run_ensemble(sc, 3100, base_seed=5, keep_records=keep)
+            assert multiprocessing.active_children() == []

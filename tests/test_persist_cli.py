@@ -14,7 +14,7 @@ from collapse_lab import persist
 from collapse_lab.cli import cli_run
 from collapse_lab.config import from_dict
 from collapse_lab.errors import DimensionError, PersistError
-from collapse_lab.integrator import _column_roles, run_trajectory
+from collapse_lab.integrator import IntegrationPlan, _column_roles, run_trajectory
 from collapse_lab.persist import (
     build_manifest,
     load_manifest,
@@ -691,6 +691,21 @@ def test_malformed_manifest_entry_refused(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'trajectories.npy'}: manifest {field} ")
     assert not (out / "audit.json").exists()
+
+
+@pytest.mark.parametrize("plan", [
+    {"dt": 0.001}, "str", None, [1], {"dt": [0.001], "n_steps": 10},
+    {"dt": 0.001, "n_steps": 10, "extra": 1}, {"dt": -1.0, "n_steps": 10},
+    {"dt": 0.001, "n_steps": 10, "noise_kind": "pink"},
+])
+def test_manifest_plan_refusal_is_the_plans_own(plan):
+    # the refusal carries the message of IntegrationPlan(**plan), each time
+    with pytest.raises((TypeError, ValueError)) as plain:
+        IntegrationPlan(**plan)
+    for _ in range(2):
+        with pytest.raises(PersistError) as refusal:
+            persist._entry_plan("x.npy", {"seed": 0, "plan": plan})
+        assert str(refusal.value) == f"x.npy: manifest plan is not a plan ({plain.value})"
 
 
 def _drop_file(entry):
