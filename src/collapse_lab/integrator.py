@@ -49,7 +49,6 @@ __all__ = [
     "RealizedScenario",
     "TrajectoryRecord",
     "EnsembleStats",
-    "ito_step",
     "run_trajectory",
     "run_ensemble",
     "ensemble_seeds",
@@ -356,25 +355,6 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
     return new, nrm, beta, hpsi
 
 
-def ito_step(
-    psi: StateVector,
-    hamiltonian: AssembledOperator | None,
-    vhat: AssembledOperator | None,
-    dt: float,
-    noise: complex,
-) -> StateVector:
-    """One renormalized Euler-Maruyama step with an externally drawn increment.
-
-    The deviation operator is evaluated at the pre-step state; the supplied
-    ``noise`` must satisfy E[noise] = 0, E[|noise|^2] = dt.  The plan
-    refuses a ``dt`` that is not positive and finite (ValueError).
-    """
-    check_stability(IntegrationPlan(dt=dt, n_steps=1), vhat)
-    new, _, _, _ = _step(psi.amplitudes[None, :], hamiltonian, vhat, dt,
-                         np.array([complex(noise)]))
-    return StateVector(psi.space, new[0])
-
-
 def run_trajectory(
     scenario: "RealizedScenario | ScenarioConfig",
     seed: int | None = None,
@@ -554,15 +534,16 @@ def _moments(sums: dict, m2: dict, n: int) -> tuple[dict, dict, dict]:
             {k: np.sqrt(v / n) for k, v in var.items()})
 
 
-# Blocks of states larger than this many amplitudes drop out of the CPU
-# caches; at d = 4096 a 512-trajectory chunk ran 1.75x slower per
-# trajectory-step than one trajectory at a time.
-BATCH_AMPLITUDES = 1 << 15
-# At small d a step costs per row, and past this many rows the block and
-# its temporaries leave the L2 cache: at d = 4 a step cost 125 ns per row
-# at 2048 rows and 228 ns at 8192.  The cap also gives an ensemble of
-# 2000 trajectories at d = 4 two chunks, which two cores run side by side.
-BATCH_ROWS = 1 << 10
+# The amplitudes of one chunk.  Batching past about 4k amplitudes buys
+# little, while a second chunk can run on a second core.  Cost per row and
+# step, on one core of a 2-vCPU host:
+#     d = 4:     206 ns at 1000 rows (2000 trajectories run as 2 x 1000)
+#     d = 96:    2212 ns at 64 rows,  2681 ns at 32 rows
+#     d = 256:   2222 ns at 128 rows, 2869 ns at 16 rows
+#     d = 4096:  106.6 us at 8 rows,  102.3 us at 1 row
+# So 64 stern-gerlach trajectories (d = 96) run as 2 x 32 on two cores,
+# and from d = 4096 on a chunk is one row.
+BATCH_AMPLITUDES = 1 << 12
 # Noise increments drawn at once per chunk (4 MB of complex128); drawing
 # a whole qnd-two-level run at once took 41 MB for 512 trajectories.
 NOISE_INCREMENTS = 1 << 18
@@ -571,9 +552,9 @@ NOISE_INCREMENTS = 1 << 18
 def _chunk_sizes(n_traj: int, d: int) -> list[int]:
     """The sizes of an ensemble's chunks, which depend on ``n_traj`` and
     the dimension ``d`` only: as few chunks as keep each within
-    ``BATCH_AMPLITUDES`` amplitudes and ``BATCH_ROWS`` rows, balanced to
-    differ by at most one row, the larger first."""
-    cap = max(1, min(BATCH_ROWS, BATCH_AMPLITUDES // d))
+    ``BATCH_AMPLITUDES`` amplitudes (at least one row), balanced to differ
+    by at most one row, the larger first."""
+    cap = max(1, BATCH_AMPLITUDES // d)
     n_chunks = -(-n_traj // cap)
     size, extra = divmod(n_traj, n_chunks)
     return [size + 1] * extra + [size] * (n_chunks - extra)

@@ -17,6 +17,7 @@ from collapse_lab.config import from_dict
 from collapse_lab.integrator import (
     IntegrationPlan,
     Observable,
+    _step,
     lindblad_oracle,
     run_ensemble,
     run_trajectory,
@@ -122,13 +123,13 @@ def test_criterion_4_norm_martingale_and_strong_order():
         w = rng.standard_normal((n_paths, n_fine, 2))
         dxi_fine = (w[..., 0] + 1j * w[..., 1]) * np.sqrt(dt_fine / 2.0)
 
-        # the batch evolution must agree with the public single-step routine
+        # the batch evolution must agree with the integrator's own step
         probe = _strong_order_batch(vt, psi0, dxi_fine[:1, :64], dt_fine)[0]
-        psi_check = sc.psi0
+        psi_check = psi0[None, :]
         for i in range(64):
-            psi_check = cl.ito_step(psi_check, None, sc.collapse_op, dt_fine,
-                                    dxi_fine[0, i])
-        assert np.allclose(probe, psi_check.amplitudes, atol=1e-12)
+            psi_check, _, _, _ = _step(psi_check, None, sc.collapse_op, dt_fine,
+                                       dxi_fine[:1, i])
+        assert np.allclose(probe, psi_check[0], atol=1e-12)
 
         ref = _strong_order_batch(vt, psi0, dxi_fine, dt_fine)
         errs = []

@@ -57,16 +57,26 @@ def as_op(space, mat, hermitian=True):
     return AssembledOperator(space, np.asarray(mat, dtype=complex), hermitian=hermitian)
 
 
+def one_step(psi, h, v, dt, noise):
+    """The kernel's step of a one-row block, as a state vector's amplitudes."""
+    new, _, _, _ = integrator._step(psi.amplitudes[None, :], h, v, dt,
+                                    np.array([complex(noise)]))
+    return new[0]
+
+
 class TestItoStep:
+    """The kernel's renormalized Euler-Maruyama step, ``_step``, on a block
+    of one row."""
+
     def test_unitary_limit_phases(self, qubit_space):
         # collapse operator proportional to identity contributes nothing
         h = as_op(qubit_space, SIGMA_Z)
         v = as_op(qubit_space, np.eye(2) * 2.0)
         psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})
         dt = 1e-3
-        out = cl.ito_step(psi, h, v, dt, noise=0.1 + 0.05j)
+        out = one_step(psi, h, v, dt, noise=0.1 + 0.05j)
         expected = np.array([np.exp(-1j * dt), np.exp(1j * dt)]) / np.sqrt(2.0)
-        assert np.allclose(out.amplitudes, expected, atol=dt**2)
+        assert np.allclose(out, expected, atol=dt**2)
 
     def test_hand_expanded_weight_shift(self, qubit_space):
         v_eig = 0.8
@@ -74,8 +84,8 @@ class TestItoStep:
         psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})
         dt = 1e-4
         eps = 0.02
-        out = cl.ito_step(psi, None, v, dt, noise=complex(eps))
-        w0 = abs(out.amplitudes[0]) ** 2
+        out = one_step(psi, None, v, dt, noise=complex(eps))
+        w0 = abs(out[0]) ** 2
         ve = v_eig * eps
         expected = (1 + ve) ** 2 / ((1 + ve) ** 2 + (1 - ve) ** 2)
         assert w0 == pytest.approx(expected, abs=5 * dt)
@@ -84,15 +94,15 @@ class TestItoStep:
         h = as_op(qubit_space, SIGMA_Z)
         v = as_op(qubit_space, np.diag([0.5, -0.5]))
         psi = cl.make_product_state(qubit_space, {"q": [1.0, 0.0]})
-        out = cl.ito_step(psi, h, v, 1e-3, noise=0.3 - 0.2j)
-        overlap = abs(np.vdot(psi.amplitudes, out.amplitudes))
+        out = one_step(psi, h, v, 1e-3, noise=0.3 - 0.2j)
+        overlap = abs(np.vdot(psi.amplitudes, out))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_stability_guard(self, qubit_space):
-        v = as_op(qubit_space, np.diag([50.0, -50.0]))
-        psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})
+        plan = IntegrationPlan(dt=1e-3, n_steps=1)
+        sc = make_realized(qubit_space, None, np.diag([50.0, -50.0]), [1.0, 1.0], plan)
         with pytest.raises(StabilityError):
-            cl.ito_step(psi, None, v, 1e-3, noise=0.0)
+            run_trajectory(sc)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
@@ -109,10 +119,9 @@ class TestItoStep:
         assert abs(np.vdot(psi, beta)) <= 1e-12 * np.max(np.abs(vmat))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
-    def test_dt_must_be_positive_and_finite(self, qubit_space, dt):
-        psi = cl.make_product_state(qubit_space, {"q": [1.0, 1.0]})
+    def test_dt_must_be_positive_and_finite(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            cl.ito_step(psi, None, as_op(qubit_space, SIGMA_Z), dt, noise=0.0)
+            IntegrationPlan(dt=dt, n_steps=1)
 
 
 class TestRunTrajectory:
@@ -826,6 +835,46 @@ def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def forked_and_serial(monkeypatch, sc, n: int, base_seed: int,
+                      record_density: bool = False):
+    """Run ``n`` trajectories of ``sc`` on two CPUs, then on one, each kept
+    and unkept.  Asserts that ``_processes`` chose 2, 2, 1, 1, that no
+    worker is left, that every run gives the same statistics bit for bit
+    and that the forked run's kept records are rows of one block, equal to
+    the one-CPU records bit for bit.  Returns the one-CPU statistics."""
+    processes = []
+    count = integrator._processes
+
+    def spy(n_chunks):
+        processes.append(count(n_chunks))
+        return processes[-1]
+
+    monkeypatch.setattr(integrator, "_processes", spy)
+    results = {}
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        results[cpus] = [run_ensemble(sc, n, base_seed=base_seed,
+                                      record_density=record_density, keep_records=keep)
+                         for keep in (True, False)]
+    assert processes == [2, 2, 1, 1]
+    assert multiprocessing.active_children() == []
+    (forked, forked_recs), (forked_unkept, _) = results[2]
+    (serial, serial_recs), (serial_unkept, _) = results[1]
+    for stats in (forked, forked_unkept, serial_unkept):
+        assert_identical_stats(stats, serial)
+    assert [r.seed for r in forked_recs] == [base_seed + i for i in range(n)]
+    block = forked_recs[0].table.base
+    assert block.shape[0] == n
+    for one, rec in zip(serial_recs, forked_recs):
+        assert rec.table.base is block
+        assert np.array_equal(one.table, rec.table)
+        assert np.array_equal(one.states, rec.states)
+        assert np.array_equal(one.final_state.amplitudes, rec.final_state.amplitudes)
+        assert (one.collapse_step, one.collapsed_branch, one.norm_drift_mean) == (
+            rec.collapse_step, rec.collapsed_branch, rec.norm_drift_mean)
+    return serial
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that has not finished in 60 s, rather than wait on a
@@ -848,7 +897,7 @@ class TestForkedChunks:
     @given(n=st.integers(1, 100_000), d=st.integers(1, 1 << 16))
     def test_chunk_sizes_are_balanced(self, n, d):
         sizes = integrator._chunk_sizes(n, d)
-        cap = max(1, min(integrator.BATCH_ROWS, integrator.BATCH_AMPLITUDES // d))
+        cap = max(1, integrator.BATCH_AMPLITUDES // d)
         assert sum(sizes) == n and len(sizes) == -(-n // cap)
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] <= cap and sizes[0] - sizes[-1] <= 1
@@ -856,9 +905,9 @@ class TestForkedChunks:
     @pytest.mark.parametrize("n, d, sizes", [
         (2000, 4, [1000, 1000]),  # qnd-two-level
         (2100, 4, [700, 700, 700]),
-        (64, 96, [64]),  # stern-gerlach
+        (64, 96, [32, 32]),  # stern-gerlach
         (1, 4096, [1]),  # one collision trajectory
-        (9, 4096, [5, 4]),
+        (9, 4096, [1] * 9),
     ])
     def test_chunk_sizes_depend_on_n_and_d_only(self, n, d, sizes):
         assert integrator._chunk_sizes(n, d) == sizes
@@ -883,37 +932,21 @@ class TestForkedChunks:
                 seen.clear()
 
     def test_workers_give_what_one_cpu_gives(self, monkeypatch):
-        sc = short_qnd(600)  # about a quarter of the rows collapse
-        processes = []
-        count = integrator._processes
+        # about a quarter of the rows collapse
+        serial = forked_and_serial(monkeypatch, short_qnd(600), 2100, base_seed=40,
+                                   record_density=True)
+        assert len(serial.outcome_counts) == 3
 
-        def spy(n_chunks):
-            processes.append(count(n_chunks))
-            return processes[-1]
-
-        monkeypatch.setattr(integrator, "_processes", spy)
-        results = {}
-        for cpus in (2, 1):
-            use_cpus(monkeypatch, cpus)
-            results[cpus] = [run_ensemble(sc, 2100, base_seed=40, record_density=True,
-                                          keep_records=keep) for keep in (True, False)]
-        assert processes == [2, 2, 1, 1]
-        assert multiprocessing.active_children() == []
-        (forked, forked_recs), (forked_unkept, _) = results[2]
-        (serial, serial_recs), (serial_unkept, _) = results[1]
-        assert len(forked.outcome_counts) == 3
-        for stats in (forked, forked_unkept, serial_unkept):
-            assert_identical_stats(stats, serial)
-        assert [r.seed for r in forked_recs] == [40 + i for i in range(2100)]
-        block = forked_recs[0].table.base
-        assert block.shape[0] == 2100
-        for one, rec in zip(serial_recs, forked_recs):
-            assert rec.table.base is block
-            assert np.array_equal(one.table, rec.table)
-            assert np.array_equal(one.states, rec.states)
-            assert np.array_equal(one.final_state.amplitudes, rec.final_state.amplitudes)
-            assert (one.collapse_step, one.collapsed_branch, one.norm_drift_mean) == (
-                rec.collapse_step, rec.collapsed_branch, rec.norm_drift_mean)
+    def test_workers_give_what_one_cpu_gives_with_a_csr_hamiltonian(self, monkeypatch):
+        # stern-gerlach: H applied in CSR, real observables and an entropy
+        # at d = 96; its 64 trajectories are two chunks
+        d = builtin_scenario("stern-gerlach").to_dict()
+        d["plan"].update({"n_steps": 300, "record_every": 50})
+        sc = realize(from_dict(d))
+        assert sc.hamiltonian._diagonal is None and sc.space.total_dim == 96
+        serial = forked_and_serial(monkeypatch, sc, 64, base_seed=7)
+        assert serial.observable_mean and serial.entropy_mean
+        assert all(not np.iscomplexobj(m) for m in serial.observable_mean.values())
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_block_holds_the_chunks_in_flight_unless_kept(self, monkeypatch, keep):
