@@ -112,7 +112,12 @@ def serialize(config: ScenarioConfig) -> str:
 
 def config_hash(config: ScenarioConfig) -> str:
     """Content-derived hash, stable across key order."""
-    compact = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    return dict_hash(config.to_dict())
+
+
+def dict_hash(raw) -> str:
+    """sha256 of ``raw``'s canonical JSON: sorted keys, no spaces."""
+    compact = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 

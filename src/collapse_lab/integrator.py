@@ -313,12 +313,6 @@ class TrajectoryRecord:
                     f"(max deviation {deviation:.3e})"
                 )
 
-    @property
-    def collapse_time(self) -> float | None:
-        if self.collapse_step is None:
-            return None
-        return self.collapse_step * self.plan.dt
-
 
 def _step(psi: np.ndarray, h: AssembledOperator | None,
           v: AssembledOperator | None, dt: float, dxi: np.ndarray | None):

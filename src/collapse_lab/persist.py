@@ -5,26 +5,26 @@ This module reads and writes bytes and columns; what a column means is
 trajectory's columns and ``_column_roles`` decodes them).  A trajectory
 is its record's float64 (columns x records) table, stored as it is:
 
-- A ``run`` writes ``trajectory_seed<seed>.csv``, the columns as its
-  header and the table's transpose as its lines, and ``summary.json``.
-  Floats are written with shortest round-trip repr, so identical
-  (config, seed) runs produce byte-identical files on one platform.
+- A ``run`` writes ``trajectory_seed<seed>.csv``: the columns as its
+  header, the table's transpose as its lines, floats in shortest
+  round-trip repr, so identical (config, seed) runs write identical bytes
+  on one platform.
 - An ensemble writes its statistics to ``ensemble.json``.  One that keeps
   its trajectories writes them all to one ``trajectories.npy``: a version
   1.0 ``.npy`` array with one row per trajectory in seed order, whose
   float64 fields are the columns: a row's bytes are its table's bytes.
 
-The manifest records the sha256 of every artifact.  For the ensemble
-array it also records each trajectory's row, the columns and the sha256
-of that row's bytes, so :func:`load_trajectory_csv` reads and checks one
-row without reading the rest of the file; it refuses content that does
-not match.  Every artifact is written to a temporary file in the run
-directory and moved into place, manifest last, so an interrupted write
-leaves no partial file under a final name and no manifest.  Writes are
-idempotent per (config hash, seeds, content): re-persisting the same run
-over intact files is a no-op, damaged files of the same run are
-rewritten, and a differing manifest at the same path is refused rather
-than overwritten.
+The manifest holds the config (which must hash to its ``config_hash``),
+the seeds, each artifact's sha256 and the array's columns.  A trajectory
+entry stores only its CSV's or row's sha256, its collapse and its norm
+drift; :meth:`RunManifest.complete` derives the rest, so one row is read
+and checked alone, against the run's own plan.  Artifacts are written to
+temporary files in the run directory and moved into place, manifest
+last, so an interrupted write leaves no partial file under a final name
+and no manifest.  Writes are idempotent per (config hash, seeds,
+content): re-persisting the same run over intact files is a no-op,
+damaged files of the same run are rewritten, and a differing manifest at
+the same path is refused rather than overwritten.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
-from .config import ScenarioConfig, config_hash
+from .config import ScenarioConfig, config_hash, dict_hash
 from .conservation import _jsonify
 from .errors import DimensionError, NumericalError, PersistError
 from .integrator import EnsembleStats, IntegrationPlan, TrajectoryRecord
@@ -73,7 +73,8 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
     created_at: str = ""
-    schema_version: int = 3
+    schema_version: int = 4
+    columns: list[str] | None = None  # the ensemble array's; None without one
 
     def identity(self) -> dict:
         """Fields that define sameness; timestamps excluded."""
@@ -86,13 +87,46 @@ class RunManifest:
         }
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        """The stored form: each trajectory entry keeps only its own facts."""
+        return {**vars(self), "trajectories": [
+            {k: entry[k] for k in _ENTRY_FIELDS if k in entry}
+            for entry in self.trajectories]}
+
+    def complete(self) -> None:
+        """Fill in entry i's seed (``seeds[i]``), plan (the config's, with
+        that seed) and file (the ensemble array when it is an artifact, else
+        ``trajectory_seed<seed>.csv``), and with ``columns``, an array
+        entry's row (i) and columns.  Entries that are not one object per
+        seed, one that states these facts differently, and a file not among
+        the artifacts are a PersistError naming ``trajectories[i]``."""
+        n, m = len(self.trajectories), len(self.seeds)
+        if n and n != m:
+            raise PersistError(f"manifest trajectories[{min(n, m)}]: {n} entries for "
+                               f"{m} seeds; a run lists one entry per seed")
+        plan = self.config.get("plan") if isinstance(self.config, dict) else None
+        if n and not isinstance(plan, dict):
+            raise PersistError("manifest config holds no plan object")
+        array = ENSEMBLE_ARRAY in self.artifacts
+        for i, (entry, seed) in enumerate(zip(self.trajectories, self.seeds)):
+            if not isinstance(entry, dict):
+                raise PersistError(f"manifest trajectories[{i}] is {entry!r}, not an object")
+            derived = {"seed": seed, "plan": {**plan, "seed": seed},
+                       "file": ENSEMBLE_ARRAY if array else f"trajectory_seed{seed}.csv"}
+            if array and self.columns is not None:
+                derived.update(row=i, columns=self.columns)
+            for key, value in derived.items():
+                if entry.setdefault(key, value) != value:
+                    raise PersistError(f"manifest trajectories[{i}] {key} {entry[key]!r} "
+                                       f"is not the run's {value!r}")
+            if entry["file"] not in self.artifacts:
+                raise PersistError(f"manifest trajectories[{i}] file {entry['file']!r} "
+                                   "is not one of the run's artifacts")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
-        """The manifest of ``raw``; a missing field, a trajectory entry that
-        is not an object naming one of the run's artifacts, or entries that
-        are not one per seed in seed order, is a PersistError."""
+        """The completed manifest of ``raw``; a missing field, a config that
+        does not hash to ``config_hash`` and the refusals of
+        :meth:`complete` are a PersistError."""
         try:
             manifest = cls(
                 config_hash=raw["config_hash"],
@@ -104,26 +138,14 @@ class RunManifest:
                 tool_version=raw.get("tool_version", ""),
                 created_at=raw.get("created_at", ""),
                 schema_version=raw.get("schema_version", 1),
+                columns=raw.get("columns"),
             )
         except (KeyError, TypeError) as exc:
             raise PersistError(f"manifest is missing required field: {exc}") from exc
-        for i, entry in enumerate(manifest.trajectories):
-            if not isinstance(entry, dict):
-                raise PersistError(f"manifest trajectories[{i}] is {entry!r}, not an object")
-            if not isinstance(entry.get("file"), str):
-                raise PersistError(f"manifest trajectories[{i}] file "
-                                   f"{entry.get('file')!r} is not a file name")
-            if entry["file"] not in manifest.artifacts:
-                raise PersistError(f"manifest trajectories[{i}] file {entry['file']!r} "
-                                   "is not one of the run's artifacts")
-            seed = entry.get("seed")  # one not an integer >= 0 is refused on load
-            if type(seed) is int and seed >= 0 and manifest.seeds[i:i + 1] != [seed]:
-                raise PersistError(f"manifest trajectories[{i}] seed {seed} is not "
-                                   f"seeds[{i}] of {_brief(manifest.seeds)}")
-        n, m = len(manifest.trajectories), len(manifest.seeds)
-        if n and n != m:
-            raise PersistError(f"manifest trajectories[{min(n, m)}]: {n} entries for "
-                               f"{m} seeds; a run lists one entry per seed")
+        if dict_hash(manifest.config) != manifest.config_hash:
+            raise PersistError(f"manifest config does not hash to its config_hash "
+                               f"{str(manifest.config_hash)[:12]}")
+        manifest.complete()
         return manifest
 
 
@@ -138,6 +160,8 @@ def build_manifest(config: ScenarioConfig, seeds: Iterable[int], kind: str) -> R
 
 
 _PLAN_FIELDS = tuple(f.name for f in fields(IntegrationPlan))
+# what a stored trajectory entry holds; RunManifest.complete derives the rest
+_ENTRY_FIELDS = ("sha256", "collapse_step", "collapsed_branch", "norm_drift_mean")
 
 
 def _plan_dict(plan: IntegrationPlan) -> dict:
@@ -168,22 +192,6 @@ def _write_trajectory_array(f, records: list[TrajectoryRecord]) -> list[str]:
         row_hashes.append(_sha256(row))
         f.write(row)
     return row_hashes
-
-
-def _summary_dict(record: TrajectoryRecord) -> dict:
-    return {
-        "schema_version": 1,
-        "seed": record.seed,
-        "plan": _plan_dict(record.plan),
-        "collapsed_branch": record.collapsed_branch,
-        "collapse_step": record.collapse_step,
-        "collapse_time": record.collapse_time,
-        "norm_drift_mean": record.norm_drift_mean,
-        "terminal": {k: _jsonify(v[-1]) for k, v in record.observables.items()},
-        "terminal_branch_weights": {
-            k: _jsonify(v[-1]) for k, v in record.branch_weights.items()},
-        "terminal_entropy": {k: _jsonify(v[-1]) for k, v in record.entropy_series.items()},
-    }
 
 
 def ensemble_json_dict(stats: EnsembleStats, plan: IntegrationPlan) -> dict:
@@ -280,16 +288,16 @@ def persist_run(
 ) -> dict[str, str]:
     """Write run artifacts under ``out_dir`` and return the file map.
 
-    The manifest's ``artifacts`` and trajectory entries record each file's
-    sha256.  A trajectory run stores each record as a CSV, and
-    ``summary.json``; an ensemble, given ``stats``, stores ``ensemble.json``
-    and its trajectories as rows of :data:`ENSEMBLE_ARRAY`, whose entries
-    record their row, the columns and the row's sha256.
-    Artifacts are staged in temporary files and moved into place,
-    manifest last.  A re-run of the same run is a no-op when the files on
-    disk still match their hashes and rewrites them otherwise; a
-    conflicting manifest at the same path raises :class:`PersistError`
-    instead of overwriting anything.
+    A trajectory run stores each record as a CSV; an ensemble, given
+    ``stats``, stores ``ensemble.json`` and its records as the rows of
+    :data:`ENSEMBLE_ARRAY`.  The manifest records each file's sha256, and
+    each record's entry the hash of its CSV or row, its collapse and its
+    norm drift; completing it refuses records that are not the manifest's
+    seeds in order.  Artifacts are staged in temporary files and moved
+    into place, manifest last.  A re-run of the same run is a no-op when
+    the files on disk still match their hashes and rewrites them
+    otherwise; a conflicting manifest at the same path raises
+    :class:`PersistError` instead of overwriting anything.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,42 +319,27 @@ def persist_run(
         return result
 
     try:
-        entries = [
-            {
-                "seed": rec.seed,
-                "collapsed_branch": rec.collapsed_branch,
-                "collapse_step": rec.collapse_step,
-                "plan": _plan_dict(rec.plan),
-            }
-            for rec in records
-        ]
         if records and manifest.kind == "ensemble":
             row_hashes = stage(ENSEMBLE_ARRAY,
                                lambda f: _write_trajectory_array(f, records))
-            columns = list(records[0].columns)
-            for row, (entry, digest) in enumerate(zip(entries, row_hashes)):
-                entry.update(file=ENSEMBLE_ARRAY, row=row, columns=columns,
-                             sha256=digest)
+            manifest.columns = list(records[0].columns)
         else:
-            for entry, rec in zip(entries, records):
-                name = f"trajectory_seed{rec.seed}.csv"
+            for rec in records:
                 data = trajectory_csv_text(rec).encode("utf-8")
-                stage(name, lambda f: f.write(data))
-                entry.update(file=name, sha256=hashes[name])
-        if stats is None:
-            summary = {
-                "schema_version": 1,
-                "config_hash": manifest.config_hash,
-                "runs": [_summary_dict(rec) for rec in records],
-            }
-            stage("summary.json", lambda f: f.write(_json_bytes(summary)))
-        else:
-            plan = replace(IntegrationPlan(**manifest.config["plan"]),
-                           seed=stats.base_seed)
+                stage(f"trajectory_seed{rec.seed}.csv", lambda f: f.write(data))
+            row_hashes = [hashes[f"trajectory_seed{rec.seed}.csv"] for rec in records]
+        if stats is not None:
+            plan = IntegrationPlan(**{**manifest.config["plan"], "seed": stats.base_seed})
             stage("ensemble.json",
                   lambda f: f.write(_json_bytes(ensemble_json_dict(stats, plan))))
-        manifest.trajectories = entries
+        manifest.trajectories = [
+            {"seed": rec.seed, "sha256": digest, "collapse_step": rec.collapse_step,
+             "collapsed_branch": rec.collapsed_branch,
+             "norm_drift_mean": rec.norm_drift_mean}
+            for rec, digest in zip(records, row_hashes)
+        ]
         manifest.artifacts = dict(hashes)
+        manifest.complete()
         paths = {name: str(out / name) for name in [*hashes, MANIFEST_NAME]}
 
         if existing is not None:
@@ -371,12 +364,14 @@ def persist_run(
 def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
     """Rebuild a stored trajectory from its table plus manifest metadata.
 
-    ``path`` is a trajectory CSV, or the ensemble array when ``meta``
-    names a ``row``, of which only the header and that row are read; any
-    other artifact is refused.  The CSV, or the row, must match the sha256
-    in ``meta``, and a row's fields must be the columns in ``meta``.  The
-    record has no final state; malformed entries and hash, record-count,
-    column and branch-partition failures are :class:`PersistError`.
+    ``meta`` is a completed manifest entry.  ``path`` is a trajectory CSV,
+    or the ensemble array when ``meta`` names a ``row``, of which only the
+    header and that row are read; any other artifact is refused.  The CSV,
+    or the row, must match the sha256 in ``meta``, and a row's fields must
+    be the columns in ``meta``.  The record takes its seed, plan, collapse
+    and norm drift (0.0 if a schema-3 entry has none) from ``meta`` and has
+    no final state; malformed entries and hash, record-count, column and
+    branch-partition failures are :class:`PersistError`.
     """
     if "sha256" not in meta:
         raise PersistError(f"{path}: the manifest records no content hash")
@@ -398,6 +393,7 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
             plan=plan,
             collapsed_branch=meta.get("collapsed_branch"),
             collapse_step=meta.get("collapse_step"),
+            norm_drift_mean=meta.get("norm_drift_mean", 0.0),
         )
     except (DimensionError, NumericalError) as exc:
         raise PersistError(f"{path}: {exc}") from None
@@ -405,7 +401,7 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
 
 def _entry_plan(path, meta: dict) -> IntegrationPlan:
     """The plan of a manifest trajectory entry, once its seed, plan,
-    collapse step and collapsed branch are checked."""
+    collapse step, collapsed branch and norm drift are checked."""
     seed, step, branch = (meta.get(k) for k in ("seed", "collapse_step",
                                                 "collapsed_branch"))
     if type(seed) is not int or seed < 0:
@@ -420,6 +416,9 @@ def _entry_plan(path, meta: dict) -> IntegrationPlan:
     if branch is not None and not isinstance(branch, str):
         raise PersistError(f"{path}: manifest collapsed_branch {branch!r} is not "
                            "null or a string")
+    if type(meta.get("norm_drift_mean", 0.0)) is not float:
+        raise PersistError(f"{path}: manifest norm_drift_mean "
+                           f"{meta['norm_drift_mean']!r} is not a float")
     return plan
 
 

@@ -12,7 +12,7 @@ import pytest
 import collapse_lab as cl
 from collapse_lab import persist
 from collapse_lab.cli import cli_run
-from collapse_lab.config import from_dict
+from collapse_lab.config import dict_hash, from_dict
 from collapse_lab.errors import DimensionError, PersistError
 from collapse_lab.integrator import IntegrationPlan, _column_roles, run_trajectory
 from collapse_lab.persist import (
@@ -77,14 +77,14 @@ class TestPersist:
         out = tmp_path / "run"
         persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
         raw = json.loads((out / "manifest.json").read_text())
-        raw["artifacts"]["summary.json"] = "0" * 64
+        raw["artifacts"]["notes.json"] = "0" * 64
         (out / "manifest.json").write_text(json.dumps(raw))
         with pytest.raises(PersistError,
-                           match=r"\(differs in artifacts summary\.json\); refusing"):
+                           match=r"\(differs in artifacts notes\.json\); refusing"):
             persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
         rec2 = run_trajectory(sc, seed=10)
         with pytest.raises(PersistError, match=(
-                r"differs in seeds \[9\] vs \[10\]; artifacts summary\.json, "
+                r"differs in seeds \[9\] vs \[10\]; artifacts notes\.json, "
                 r"trajectory_seed10\.csv, trajectory_seed9\.csv\)")):
             persist_run([rec2], build_manifest(cfg, [10], "trajectory"), out)
 
@@ -258,8 +258,8 @@ class TestCli:
         assert not (tmp_path / "t").exists()
 
     def test_artifacts_of_each_command(self, tmp_path, capsys):
-        # an ensemble's statistics are ensemble.json: it writes no
-        # summary.json; a run does, with its collapse and terminal values
+        # every fact of a run is stored once: its table in the CSV or the
+        # array, its statistics in ensemble.json, the rest in the manifest
         cfg_path = self.write_config(tmp_path)
         listing = {}
         for name, extra in (("run", ["run", "--seed", "4"]),
@@ -272,12 +272,10 @@ class TestCli:
             assert set(load_manifest(out).artifacts) == set(listing[name]) - {
                 "manifest.json"}
         assert listing == {
-            "run": ["manifest.json", "summary.json", "trajectory_seed4.csv"],
+            "run": ["manifest.json", "trajectory_seed4.csv"],
             "ens": ["ensemble.json", "manifest.json"],
             "kept": ["ensemble.json", "manifest.json", "trajectories.npy"],
         }
-        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-        assert [r["seed"] for r in summary["runs"]] == [4]
         capsys.readouterr()
         assert cli_run(["audit", "--run-dir", str(tmp_path / "ens"), "--quiet"]) == 2
         assert "no stored trajectories" in capsys.readouterr().err
@@ -322,12 +320,15 @@ class TestCli:
         out = tmp_path / "jsonrun"
         assert cli_run(["run", "--config", str(cfg_path), "--seed", "3",
                         "--out-dir", str(out), "--quiet"]) == 0
-        raw = json.loads((out / "manifest.json").read_text())
-        meta = raw["trajectories"][0]
-        meta.update(file="summary.json", sha256=raw["artifacts"]["summary.json"])
-        (out / "manifest.json").write_text(json.dumps(raw))
+        meta = {**load_manifest(out).trajectories[0], "file": "notes.json"}
+        (out / "notes.json").write_text("{}\n")
+        meta["sha256"] = _sha256(out / "notes.json")
         with pytest.raises(PersistError, match="not a trajectory CSV"):
             load_trajectory_csv(out / meta["file"], meta)
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["artifacts"]["notes.json"] = meta["sha256"]
+        raw["trajectories"][0].update(file="notes.json", sha256=meta["sha256"])
+        (out / "manifest.json").write_text(json.dumps(raw))
         assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
 
     def test_audit_refusal_exit_three(self, tmp_path):
@@ -383,11 +384,20 @@ class TestContentHashes:
         out = tmp_path / "run"
         persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
         manifest = load_manifest(out)
-        assert manifest.schema_version == 3
-        assert set(manifest.artifacts) == {"trajectory_seed9.csv", "summary.json"}
+        assert manifest.schema_version == 4
+        assert set(manifest.artifacts) == {"trajectory_seed9.csv"}
         for name, digest in manifest.artifacts.items():
             assert digest == _sha256(out / name)
         assert manifest.trajectories[0]["sha256"] == _sha256(out / "trajectory_seed9.csv")
+        # an entry stores only what no other part of the run holds
+        raw = json.loads((out / "manifest.json").read_text())
+        assert raw["trajectories"] == [{
+            "sha256": _sha256(out / "trajectory_seed9.csv"),
+            "collapse_step": rec.collapse_step,
+            "collapsed_branch": rec.collapsed_branch,
+            "norm_drift_mean": rec.norm_drift_mean,
+        }]
+        assert raw["columns"] is None  # a run has no ensemble array
 
     def test_rerun_rewrites_damaged_artifact(self, tmp_path):
         cfg = small_qnd_config()
@@ -647,7 +657,8 @@ class TestEnsembleArray:
                 "collapsed_branch": rec.collapsed_branch,
                 "collapse_step": rec.collapse_step, "plan": asdict(rec.plan),
             })
-        (out / "manifest.json").write_text(json.dumps(manifest.to_dict()))
+        raw = {**manifest.to_dict(), "trajectories": manifest.trajectories}
+        (out / "manifest.json").write_text(json.dumps(raw))
         assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
         assert json.loads((out / "audit.json").read_text())["passed"] is True
 
@@ -676,20 +687,30 @@ class TestEnsembleArray:
     ("plan", {"dt": 0.001}), ("plan", "str"), ("plan", None),
     ("seed", "abc"), ("seed", 2.5), ("seed", True), ("seed", -1), ("seed", None),
     ("collapse_step", "5"), ("collapse_step", -1), ("collapse_step", 401),
-    ("collapse_step", 3.0), ("collapsed_branch", 5),
+    ("collapse_step", 3.0), ("collapsed_branch", 5), ("norm_drift_mean", "0"),
+    ("seed", 41), ("file", "trajectory_seed40.csv"), ("row", 1),
+    ("columns", ["t", "norm_pre"]),
 ])
 def test_malformed_manifest_entry_refused(tmp_path, capsys, field, value):
     _, _, out = small_ensemble(tmp_path)
     raw = json.loads((out / "manifest.json").read_text())
     raw["trajectories"][0][field] = value
     (out / "manifest.json").write_text(json.dumps(raw))
-    meta = load_manifest(out).trajectories[0]
-    with pytest.raises(PersistError, match=f"trajectories.npy: manifest {field} "):
-        load_trajectory_csv(out / "trajectories.npy", meta)
+    if field in ("plan", "seed", "file", "row", "columns"):  # derived: may only be repeated
+        refusal = f"manifest trajectories[0] {field} {value!r} is not the run's "
+        with pytest.raises(PersistError) as raised:
+            load_manifest(out)
+        assert str(raised.value).startswith(refusal)
+    else:
+        refusal = f"{out / 'trajectories.npy'}: manifest {field} {value!r} "
+        meta = load_manifest(out).trajectories[0]
+        with pytest.raises(PersistError) as raised:
+            load_trajectory_csv(out / "trajectories.npy", meta)
+        assert str(raised.value).startswith(refusal)
     capsys.readouterr()
     assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'trajectories.npy'}: manifest {field} ")
+    assert err.startswith(f"error: {refusal}") and err.count("\n") == 1
     assert not (out / "audit.json").exists()
 
 
@@ -708,20 +729,22 @@ def test_manifest_plan_refusal_is_the_plans_own(plan):
         assert str(refusal.value) == f"x.npy: manifest plan is not a plan ({plain.value})"
 
 
-def _drop_file(entry):
-    del entry["file"]
-    return entry
+def _drop_array(raw):
+    del raw["artifacts"]["trajectories.npy"]
 
 
-@pytest.mark.parametrize("bad_entry, message", [
-    (_drop_file, "file None is not a file name"),
-    (lambda entry: 5, "is 5, not an object"),
-    (lambda entry: {**entry, "file": 5}, "file 5 is not a file name"),
-], ids=["no-file", "not-an-object", "file-not-a-string"])
-def test_manifest_entry_without_a_file_name_refused(tmp_path, capsys, bad_entry, message):
+@pytest.mark.parametrize("edit, message", [
+    (_drop_array, "file 'trajectory_seed40.csv' is not one of the run's artifacts"),
+    (lambda raw: raw["trajectories"].__setitem__(0, 5), "is 5, not an object"),
+    (lambda raw: raw["trajectories"][0].update(file=5),
+     "file 5 is not the run's 'trajectories.npy'"),
+], ids=["array-not-an-artifact", "not-an-object", "file-not-a-string"])
+def test_manifest_entry_without_a_file_name_refused(tmp_path, capsys, edit, message):
+    # an entry stores no file: it is the array when that is an artifact,
+    # otherwise the seed's CSV, and it must be one of the run's artifacts
     _, _, out = small_ensemble(tmp_path)
     raw = json.loads((out / "manifest.json").read_text())
-    raw["trajectories"][0] = bad_entry(raw["trajectories"][0])
+    edit(raw)
     (out / "manifest.json").write_text(json.dumps(raw))
     with pytest.raises(PersistError) as refusal:
         load_manifest(out)
@@ -744,7 +767,7 @@ def test_entry_outside_the_run_refused(tmp_path, capsys):
     raw["trajectories"][0]["file"] = "../elsewhere/trajectory_seed3.csv"
     (out / "manifest.json").write_text(json.dumps(raw))
     message = ("manifest trajectories[0] file '../elsewhere/trajectory_seed3.csv' "
-               "is not one of the run's artifacts")
+               "is not the run's 'trajectory_seed3.csv'")
     with pytest.raises(PersistError) as refusal:
         load_manifest(out)
     assert str(refusal.value) == message
@@ -754,28 +777,121 @@ def test_entry_outside_the_run_refused(tmp_path, capsys):
     assert not (out / "audit.json").exists()
 
 
+def _stating_seeds(entries):
+    return [{**entry, "seed": seed} for seed, entry in zip(range(40, 45), entries)]
+
+
+def _swapped(entries):
+    return [entries[1], entries[0], *entries[2:]]
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda entries: entries[:2], "trajectories[2]: 2 entries for 5 seeds; a run "
-                                  "lists one entry per seed"),
-    (lambda entries: entries[:1] + entries[2:], "trajectories[1] seed 42 is not "
-                                                "seeds[1] of [40, ..., 44] (5 seeds)"),
-    (lambda entries: [entries[1], entries[0], *entries[2:]],
-     "trajectories[0] seed 41 is not seeds[0] of [40, ..., 44] (5 seeds)"),
-    (lambda entries: entries + entries[:1], "trajectories[5] seed 40 is not "
-                                            "seeds[5] of [40, ..., 44] (5 seeds)"),
-], ids=["dropped-tail", "dropped-middle", "swapped", "repeated"])
+    (lambda entries: entries[:2], "manifest trajectories[2]: 2 entries for 5 seeds; "
+                                  "a run lists one entry per seed"),
+    (lambda entries: entries[:1] + entries[2:],
+     "manifest trajectories[4]: 4 entries for 5 seeds; a run lists one entry per seed"),
+    # entry i is row i: a swap is caught by the row hashes
+    (_swapped, "trajectories.npy: row 0 does not match the manifest hash"),
+    (lambda entries: entries + entries[:1], "manifest trajectories[5]: 6 entries for "
+                                            "5 seeds; a run lists one entry per seed"),
+    (lambda entries: _swapped(_stating_seeds(entries)),
+     "manifest trajectories[0] seed 41 is not the run's 40"),
+], ids=["dropped-tail", "dropped-middle", "swapped", "repeated", "swapped-stating-seeds"])
 def test_entries_must_be_the_runs_seeds_in_order(tmp_path, capsys, edit, message):
     _, _, out = small_ensemble(tmp_path)
     raw = json.loads((out / "manifest.json").read_text())
     assert raw["seeds"] == [40, 41, 42, 43, 44]
     raw["trajectories"] = edit(raw["trajectories"])
     (out / "manifest.json").write_text(json.dumps(raw))
-    with pytest.raises(PersistError) as refusal:
-        load_manifest(out)
-    assert str(refusal.value) == f"manifest {message}"
+    if message.startswith("manifest "):
+        with pytest.raises(PersistError) as refusal:
+            load_manifest(out)
+        assert str(refusal.value) == message
+    else:
+        message = f"{out / message}"
     capsys.readouterr()
     assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err == f"error: manifest {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "audit.json").exists()
+
+
+def test_config_that_does_not_hash_to_config_hash_refused(tmp_path, capsys):
+    cfg, _, out = small_ensemble(tmp_path)
+    raw = json.loads((out / "manifest.json").read_text())
+    # the stored dict hashes as the config it came from
+    assert dict_hash(raw["config"]) == raw["config_hash"] == cl.config_hash(
+        from_dict(raw["config"])) == cl.config_hash(cfg)
+    assert raw["config"]["collapse"]["c_scale"] == 1.0
+    raw["config"]["collapse"]["c_scale"] = 3.0  # a valid config, another V
+    (out / "manifest.json").write_text(json.dumps(raw))
+    with pytest.raises(PersistError, match="does not hash to its config_hash"):
+        load_manifest(out)
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest config does not hash to its config_hash ")
+    assert "Traceback" not in err and not (out / "audit.json").exists()
+
+
+def _as_schema_3(out):
+    """Rewrite the manifest at ``out`` in the layout of schema 3: every entry
+    states its seed, plan, file, row and columns, and none its drift."""
+    manifest = load_manifest(out)
+    raw = {**manifest.to_dict(), "schema_version": 3, "trajectories": [
+        {k: v for k, v in entry.items() if k != "norm_drift_mean"}
+        for entry in manifest.trajectories]}
+    del raw["columns"]
+    (out / "manifest.json").write_text(json.dumps(raw))
+    return raw
+
+
+def test_schema_3_directory_audits_as_written(tmp_path, capsys):
+    cfg, recs, out = small_ensemble(tmp_path)
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 0
+    old = tmp_path / "schema3"
+    old.mkdir()
+    for name in ("ensemble.json", "trajectories.npy"):
+        (old / name).write_bytes((out / name).read_bytes())
+    (old / "manifest.json").write_bytes((out / "manifest.json").read_bytes())
+    raw = _as_schema_3(old)
+    assert set(raw["trajectories"][1]) == {"seed", "plan", "file", "row", "columns",
+                                           "sha256", "collapse_step", "collapsed_branch"}
+    assert cli_run(["audit", "--run-dir", str(old), "--quiet"]) == 0
+    assert (old / "audit.json").read_bytes() == (out / "audit.json").read_bytes()
+    meta = load_manifest(old).trajectories[1]
+    assert load_trajectory_csv(old / meta["file"], meta).norm_drift_mean == 0.0
+
+    # rerunning into it is another run: its schema differs
+    stats, _ = cl.run_ensemble(realize(cfg), 5, 40, keep_records=False)
+    with pytest.raises(PersistError, match=r"differs in schema_version 3 vs 4\)"):
+        persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"), old,
+                    stats=stats)
+
+    # an entry whose plan is not the config's is refused, not integrated
+    (old / "audit.json").unlink()
+    raw["trajectories"][0]["plan"]["dt"] *= 10
+    (old / "manifest.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(old), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest trajectories[0] plan ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (old / "audit.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "ensemble"])
+def test_loaded_record_keeps_its_norm_drift(tmp_path, kind):
+    cfg = small_qnd_config()
+    if kind == "trajectory":
+        stats, recs = None, [run_trajectory(realize(cfg), seed=9)]
+    else:
+        stats, recs = cl.run_ensemble(realize(cfg), 3, 40, keep_records=True)
+    out = tmp_path / kind
+    persist_run(recs, build_manifest(cfg, [r.seed for r in recs], kind), out, stats=stats)
+    for rec, meta in zip(recs, load_manifest(out).trajectories):
+        assert rec.norm_drift_mean != 0.0
+        stored = load_trajectory_csv(out / meta["file"], meta)
+        assert stored.norm_drift_mean == rec.norm_drift_mean
 
 
 def test_audit_of_a_config_without_audits_exits_1(tmp_path, capsys):
