@@ -80,10 +80,6 @@ class ScenarioConfig:
     def has_external_potential(self) -> bool:
         return any(t["type"] == "external_potential" for t in self.operators["terms"])
 
-    @property
-    def subsystem_labels(self) -> tuple[str, ...]:
-        return tuple(s["label"] for s in self.space["subsystems"])
-
 
 def _deep_copy(obj):
     return json.loads(json.dumps(obj))

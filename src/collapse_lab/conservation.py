@@ -405,10 +405,12 @@ def audit_run(
 ) -> AuditReport:
     """Audit a set of trajectories, one stored trajectory being a set of one.
 
-    The records' tables are stacked into one ``(n, n_columns, n_records)``
+    Each record is judged against ``scenario.plan``: one whose columns are
+    not the first record's, or whose ``t`` column is not the plan's
+    ``record_times`` bit for bit, is refused (DimensionError naming its
+    seed).  The tables are stacked into one ``(n, n_columns, n_records)``
     table, decoded once by the column roles, and every check reads its
-    ``(n, n_records)`` block of that decode; records whose columns or
-    record counts differ are refused (DimensionError).  The report holds
+    ``(n, n_records)`` block of that decode.  The report holds
     one :class:`QuantityAudit` per quantity, describing the trajectory
     with the largest drift and failing if any trajectory fails; the
     ``per_trajectory`` section lists every failing (seed, quantity).
@@ -425,14 +427,20 @@ def audit_run(
     if not records:
         raise DimensionError("audit_run needs at least one trajectory record")
     _refuse_if_uncertifiable(scenario)
-    columns, shape = tuple(records[0].columns), records[0].table.shape
+    plan, columns = scenario.plan, tuple(records[0].columns)
+    times = plan.record_times
+    t_bits = times.tobytes()
     for rec in records:
-        if tuple(rec.columns) != columns or rec.table.shape != shape:
+        t = rec.times
+        if tuple(rec.columns) != columns:
+            raise DimensionError(f"trajectory seed {rec.seed} has a table of columns "
+                                 f"{list(rec.columns)}, seed {records[0].seed} one of "
+                                 f"{list(columns)}; one audit needs one layout")
+        if t.tobytes() != t_bits:
             raise DimensionError(
-                f"trajectory seed {rec.seed} has a {rec.table.shape} table of columns "
-                f"{list(rec.columns)}, seed {records[0].seed} a {shape} table of "
-                f"{list(columns)}; one audit needs one layout"
-            )
+                f"trajectory seed {rec.seed} has a t column of {t.size} records from "
+                f"{float(t[0])!r} to {float(t[-1])!r}, not the scenario plan's "
+                f"{plan.n_records} record times from 0.0 to {float(times[-1])!r}")
     from .integrator import _column_roles, lindblad_oracle
 
     roles = _column_roles(columns)
@@ -445,11 +453,9 @@ def audit_run(
             )
     table = np.stack([rec.table for rec in records])
     observables, weights, _, qvs = roles.series(table)
-    times = table[0, roles.t]
-    plan = records[0].plan
     labels = np.array([rec.collapsed_branch for rec in records], dtype=object)
     steps = np.array([rec.collapse_step or 0 for rec in records])
-    at = np.minimum(np.ceil(steps / plan.record_every).astype(int), shape[1] - 1)
+    at = np.minimum(np.ceil(steps / plan.record_every).astype(int), plan.n_records - 1)
 
     n = len(records)
     report = AuditReport(seed=records[0].seed)
@@ -476,7 +482,7 @@ def audit_run(
     }
 
     if n >= 2:
-        m = shape[1] - 1
+        m = plan.n_records - 1
         z = family_threshold(N_SIGMA, m)
         h, dim = scenario.hamiltonian, scenario.space.total_dim
         rhos = None  # the oracle's states at the checkpoints, solved on first use

@@ -28,7 +28,7 @@ import mmap
 import multiprocessing
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -93,6 +93,12 @@ class IntegrationPlan:
     @property
     def n_records(self) -> int:
         return 1 + self.n_steps // self.record_every
+
+    @property
+    def record_times(self) -> np.ndarray:
+        """Column ``t`` of every table: integer products first, so bit-equal
+        to step * dt at every recorded step."""
+        return (np.arange(self.n_records) * self.record_every) * self.dt
 
 
 def check_stability(plan: IntegrationPlan, vhat: AssembledOperator | None) -> None:
@@ -259,7 +265,8 @@ def _column_roles(names: tuple[str, ...]) -> _ColumnRoles:
 class TrajectoryRecord:
     """One trajectory: its float64 (n_columns, n_records) ``table``, whose
     rows are the series named by ``columns`` (:func:`_column_names`), its
-    seed, plan and collapse, and its states when they are at hand.
+    seed and collapse, and its states when they are at hand.  The plan is
+    the scenario's, with this seed: a record holds no copy of it.
 
     The table is the persisted layout: a CSV holds its transpose and a row
     of the ensemble array its bytes.  ``times``, ``norms_pre_renorm`` and
@@ -270,14 +277,14 @@ class TrajectoryRecord:
     recorded state (1.0 at t = 0); ``norm_drift_mean`` averages (norm - 1)
     over every step, recorded or not.  ``qv_series`` accumulates the
     realized quadratic variation of tracked expectations, used by audit
-    bounds.
+    bounds.  A table that is not one row per column, or holds no record,
+    is a DimensionError.
     """
 
     columns: tuple[str, ...]
     table: np.ndarray
     final_state: StateVector | None  # None when reloaded from disk
     seed: int
-    plan: IntegrationPlan
     collapsed_branch: str | None = None
     collapse_step: int | None = None
     norm_drift_mean: float = 0.0
@@ -291,10 +298,9 @@ class TrajectoryRecord:
 
     def __post_init__(self):
         roles = _column_roles(tuple(self.columns))
-        if self.table.ndim != 2 or len(self.table) != len(self.columns):
-            raise DimensionError(
-                f"a table of shape {self.table.shape} for {len(self.columns)} columns"
-            )
+        if self.table.ndim != 2 or len(self.table) != len(self.columns) or not self.table.size:
+            raise DimensionError(f"a table of shape {self.table.shape} for "
+                                 f"{len(self.columns)} columns and at least one record")
         self.times = self.table[roles.t]
         self.norms_pre_renorm = self.table[roles.norm_pre]
         (self.observables, self.branch_weights, self.entropy_series,
@@ -488,7 +494,7 @@ def run_ensemble(
     obs_mean, obs_var, obs_se = _moments(obs_sum, obs_m2, n_traj)
     w_mean, _, w_se = _moments(w_sum, w_m2, n_traj)
     return EnsembleStats(
-        times=chunk.table[0, 0].copy(),  # column t: the same in every row
+        times=sc.plan.record_times,
         n_traj=n_traj,
         observable_mean=obs_mean,
         observable_var=obs_var,
@@ -697,7 +703,6 @@ def _records(sc: RealizedScenario, seeds: list[int],
             table=chunk.table[i],
             final_state=StateVector(sc.space, chunk.psi[i]),
             seed=seed,
-            plan=replace(sc.plan, seed=seed),
             collapsed_branch=labels[chunk.collapse_branch[i]],
             collapse_step=steps[i],
             norm_drift_mean=float(chunk.drift_mean[i]),
@@ -740,8 +745,7 @@ def _run_chunk_batched(sc: RealizedScenario, seeds: list[int], out: _Chunk) -> N
 
     parts = _partitions(sc)
     table, states = out.table, out.states
-    # integer product first: bit-equal to step * dt at every recorded step
-    table[:, 0] = (np.arange(plan.n_records) * plan.record_every) * dt
+    table[:, 0] = plan.record_times
     qv_accum = np.zeros(b)
 
     collapse_step, collapse_branch = out.collapse_step, out.collapse_branch

@@ -15,16 +15,18 @@ is its record's float64 (columns x records) table, stored as it is:
   float64 fields are the columns: a row's bytes are its table's bytes.
 
 The manifest holds the config (which must hash to its ``config_hash``),
-the seeds, each artifact's sha256 and the array's columns.  A trajectory
-entry stores only its CSV's or row's sha256, its collapse and its norm
-drift; :meth:`RunManifest.complete` derives the rest, so one row is read
-and checked alone, against the run's own plan.  Artifacts are written to
-temporary files in the run directory and moved into place, manifest
-last, so an interrupted write leaves no partial file under a final name
-and no manifest.  Writes are idempotent per (config hash, seeds,
-content): re-persisting the same run over intact files is a no-op,
-damaged files of the same run are rewritten, and a differing manifest at
-the same path is refused rather than overwritten.
+the seeds, each artifact's sha256 and the array's columns; the config's
+plan is the run's one plan.  A trajectory entry stores only its CSV's or
+row's sha256, its collapse and its norm drift.  :func:`load_manifest`
+checks the plan and each entry once and derives the rest of the entry
+(:meth:`RunManifest.complete`), a row load checks bytes against its
+entry, and the audit checks every record against the plan.  Artifacts
+are written to temporary files in the run directory and moved into
+place, manifest last, so an interrupted write leaves no partial file
+under a final name and no manifest.  Writes are idempotent per (config
+hash, seeds, content): re-persisting the same run over intact files is a
+no-op, damaged files of the same run are rewritten, and a differing
+manifest at the same path is refused rather than overwritten.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -93,34 +95,62 @@ class RunManifest:
             for entry in self.trajectories]}
 
     def complete(self) -> None:
-        """Fill in entry i's seed (``seeds[i]``), plan (the config's, with
-        that seed) and file (the ensemble array when it is an artifact, else
-        ``trajectory_seed<seed>.csv``), and with ``columns``, an array
-        entry's row (i) and columns.  Entries that are not one object per
-        seed, one that states these facts differently, and a file not among
-        the artifacts are a PersistError naming ``trajectories[i]``."""
+        """Check the config's plan and each entry once, and fill in entry i's
+        seed (``seeds[i]``), file (the ensemble array when it is an artifact,
+        else ``trajectory_seed<seed>.csv``) and, with ``columns``, an array
+        entry's row (i) and columns.
+
+        A config plan that does not build is a PersistError carrying the
+        plan's own message.  So, naming ``trajectories[i]``, is an entry
+        list that is not one object per seed, and an entry that states a
+        derived fact or a schema-2/3 plan otherwise, names no artifact, or
+        has a seed that is not an int >= 0, a sha256 that is not a string, a
+        collapse that is not null or an int step in [0, n_steps] with a
+        branch label of the config, or a norm drift that is not a float."""
         n, m = len(self.trajectories), len(self.seeds)
         if n and n != m:
             raise PersistError(f"manifest trajectories[{min(n, m)}]: {n} entries for "
                                f"{m} seeds; a run lists one entry per seed")
-        plan = self.config.get("plan") if isinstance(self.config, dict) else None
-        if n and not isinstance(plan, dict):
-            raise PersistError("manifest config holds no plan object")
+        config = self.config if isinstance(self.config, dict) else {}
+        try:
+            plan = IntegrationPlan(**config.get("plan"))
+        except (TypeError, ValueError) as exc:
+            raise PersistError(f"manifest plan is not a plan ({exc})") from None
+        labels = [b.get("label") for b in config.get("branches") or () if isinstance(b, dict)]
         array = ENSEMBLE_ARRAY in self.artifacts
+
+        def refuse(i: int, key: str, what: str):
+            raise PersistError(f"manifest trajectories[{i}] {key} "
+                               f"{self.trajectories[i].get(key)!r} is not {what}")
+
         for i, (entry, seed) in enumerate(zip(self.trajectories, self.seeds)):
             if not isinstance(entry, dict):
                 raise PersistError(f"manifest trajectories[{i}] is {entry!r}, not an object")
-            derived = {"seed": seed, "plan": {**plan, "seed": seed},
+            derived = {"seed": seed,
                        "file": ENSEMBLE_ARRAY if array else f"trajectory_seed{seed}.csv"}
+            if "plan" in entry:  # a schema-2 or schema-3 entry repeats the plan
+                derived["plan"] = {**config["plan"], "seed": seed}
             if array and self.columns is not None:
                 derived.update(row=i, columns=self.columns)
             for key, value in derived.items():
                 if entry.setdefault(key, value) != value:
-                    raise PersistError(f"manifest trajectories[{i}] {key} {entry[key]!r} "
-                                       f"is not the run's {value!r}")
+                    refuse(i, key, f"the run's {value!r}")
             if entry["file"] not in self.artifacts:
-                raise PersistError(f"manifest trajectories[{i}] file {entry['file']!r} "
-                                   "is not one of the run's artifacts")
+                refuse(i, "file", "one of the run's artifacts")
+            if type(entry["seed"]) is not int or entry["seed"] < 0:
+                refuse(i, "seed", "an integer >= 0")
+            if not isinstance(entry.get("sha256"), str):
+                refuse(i, "sha256", "a content hash")
+            step, branch = entry.get("collapse_step"), entry.get("collapsed_branch")
+            if step is not None and not (type(step) is int and 0 <= step <= plan.n_steps):
+                refuse(i, "collapse_step", f"null or an integer in [0, {plan.n_steps}]")
+            if branch is not None and branch not in labels:
+                refuse(i, "collapsed_branch", f"null or one of the config's branches {labels}")
+            if (step is None) != (branch is None):
+                raise PersistError(f"manifest trajectories[{i}] collapse_step {step!r} and "
+                                   f"collapsed_branch {branch!r} are not both set or both null")
+            if type(entry.get("norm_drift_mean", 0.0)) is not float:
+                refuse(i, "norm_drift_mean", "a float")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
@@ -159,14 +189,8 @@ def build_manifest(config: ScenarioConfig, seeds: Iterable[int], kind: str) -> R
     )
 
 
-_PLAN_FIELDS = tuple(f.name for f in fields(IntegrationPlan))
 # what a stored trajectory entry holds; RunManifest.complete derives the rest
 _ENTRY_FIELDS = ("sha256", "collapse_step", "collapsed_branch", "norm_drift_mean")
-
-
-def _plan_dict(plan: IntegrationPlan) -> dict:
-    """``asdict(plan)`` without its deep copies: every field is a scalar."""
-    return {name: getattr(plan, name) for name in _PLAN_FIELDS}
 
 
 def trajectory_csv_text(record: TrajectoryRecord) -> str:
@@ -194,12 +218,12 @@ def _write_trajectory_array(f, records: list[TrajectoryRecord]) -> list[str]:
     return row_hashes
 
 
-def ensemble_json_dict(stats: EnsembleStats, plan: IntegrationPlan) -> dict:
+def ensemble_json_dict(stats: EnsembleStats, plan: dict) -> dict:
     return {
         "schema_version": 1,
         "n_traj": stats.n_traj,
         "base_seed": stats.base_seed,
-        "plan": _plan_dict(plan),
+        "plan": plan,
         "t": stats.times.tolist(),
         "observable_mean": _jsonify(stats.observable_mean),
         "observable_stderr": _jsonify(stats.observable_stderr),
@@ -329,7 +353,7 @@ def persist_run(
                 stage(f"trajectory_seed{rec.seed}.csv", lambda f: f.write(data))
             row_hashes = [hashes[f"trajectory_seed{rec.seed}.csv"] for rec in records]
         if stats is not None:
-            plan = IntegrationPlan(**{**manifest.config["plan"], "seed": stats.base_seed})
+            plan = {**manifest.config["plan"], "seed": stats.base_seed}
             stage("ensemble.json",
                   lambda f: f.write(_json_bytes(ensemble_json_dict(stats, plan))))
         manifest.trajectories = [
@@ -364,22 +388,20 @@ def persist_run(
 def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
     """Rebuild a stored trajectory from its table plus manifest metadata.
 
-    ``meta`` is a completed manifest entry.  ``path`` is a trajectory CSV,
-    or the ensemble array when ``meta`` names a ``row``, of which only the
-    header and that row are read; any other artifact is refused.  The CSV,
-    or the row, must match the sha256 in ``meta``, and a row's fields must
-    be the columns in ``meta``.  The record takes its seed, plan, collapse
-    and norm drift (0.0 if a schema-3 entry has none) from ``meta`` and has
-    no final state; malformed entries and hash, record-count, column and
-    branch-partition failures are :class:`PersistError`.
+    ``meta`` is an entry that :func:`load_manifest` has checked.  ``path``
+    is a trajectory CSV, or the ensemble array when ``meta`` names a
+    ``row``, of which only the npy prefix, header and row are read; any
+    other artifact is refused.  Only bytes are checked against ``meta``:
+    the hash, the npy magic and header, the columns, the row's range and
+    truncation.  The record checks its shape, ``t``/``norm_pre`` and the
+    branch partition, and takes its seed, collapse and norm drift (0.0 if
+    a schema-3 entry has none) from ``meta``; it has no final state.  Each
+    failure is a :class:`PersistError`; the times are the audit's to check.
     """
-    if "sha256" not in meta:
-        raise PersistError(f"{path}: the manifest records no content hash")
-    plan = _entry_plan(path, meta)
     if "row" in meta:
-        names, table = _read_array_row(path, meta, plan)
+        names, table = _read_array_row(path, meta)
     elif os.path.splitext(path)[1] == ".csv":
-        names, table = _read_csv(path, meta, plan)
+        names, table = _read_csv(path, meta)
     else:
         raise PersistError(
             f"{path}: not a trajectory CSV or ensemble array; audits need one"
@@ -390,7 +412,6 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
             table=table,
             final_state=None,
             seed=meta["seed"],
-            plan=plan,
             collapsed_branch=meta.get("collapsed_branch"),
             collapse_step=meta.get("collapse_step"),
             norm_drift_mean=meta.get("norm_drift_mean", 0.0),
@@ -399,30 +420,7 @@ def load_trajectory_csv(path, meta: dict) -> TrajectoryRecord:
         raise PersistError(f"{path}: {exc}") from None
 
 
-def _entry_plan(path, meta: dict) -> IntegrationPlan:
-    """The plan of a manifest trajectory entry, once its seed, plan,
-    collapse step, collapsed branch and norm drift are checked."""
-    seed, step, branch = (meta.get(k) for k in ("seed", "collapse_step",
-                                                "collapsed_branch"))
-    if type(seed) is not int or seed < 0:
-        raise PersistError(f"{path}: manifest seed {seed!r} is not an integer >= 0")
-    try:
-        plan = IntegrationPlan(**meta["plan"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistError(f"{path}: manifest plan is not a plan ({exc})") from None
-    if step is not None and not (type(step) is int and 0 <= step <= plan.n_steps):
-        raise PersistError(f"{path}: manifest collapse_step {step!r} is not null "
-                           f"or an integer in [0, {plan.n_steps}]")
-    if branch is not None and not isinstance(branch, str):
-        raise PersistError(f"{path}: manifest collapsed_branch {branch!r} is not "
-                           "null or a string")
-    if type(meta.get("norm_drift_mean", 0.0)) is not float:
-        raise PersistError(f"{path}: manifest norm_drift_mean "
-                           f"{meta['norm_drift_mean']!r} is not a float")
-    return plan
-
-
-def _read_csv(path, meta: dict, plan: IntegrationPlan) -> tuple[tuple[str, ...], np.ndarray]:
+def _read_csv(path, meta: dict) -> tuple[tuple[str, ...], np.ndarray]:
     """(names, (n_columns, n_records) series) of a trajectory CSV."""
     with open(path, "rb") as f:
         raw = f.read()
@@ -438,20 +436,14 @@ def _read_csv(path, meta: dict, plan: IntegrationPlan) -> tuple[tuple[str, ...],
         raise PersistError(f"{path}: {exc}") from None
     if any(len(row) != len(header) for row in rows):
         raise PersistError(f"{path}: column count mismatch")
-    data = np.array(rows).reshape(len(rows), len(header))
-    if data.shape[0] != plan.n_records:
-        raise PersistError(
-            f"{path}: {data.shape[0]} rows, but the plan records {plan.n_records}"
-        )
-    return header, data.T
+    return header, np.array(rows).reshape(len(rows), len(header)).T
 
 
 _NPY_MAGIC = np.lib.format.magic(1, 0)
 _NPY_PREFIX = 10  # magic string, version, and the length of a 1.0 header
 
 
-def _read_array_row(path, meta: dict,
-                    plan: IntegrationPlan) -> tuple[tuple[str, ...], np.ndarray]:
+def _read_array_row(path, meta: dict) -> tuple[tuple[str, ...], np.ndarray]:
     """(names, (n_columns, n_records) series) of row ``meta["row"]`` of an
     ensemble array.  The file is read unbuffered: the prefix, the header
     and the row, nothing else."""
@@ -466,10 +458,6 @@ def _read_array_row(path, meta: dict,
             raise PersistError(f"{path}: {exc}") from None
         if list(names) != meta.get("columns"):
             raise PersistError(f"{path}: fields {names} are not the manifest's columns")
-        if n_values != plan.n_records:
-            raise PersistError(
-                f"{path}: {n_values} records, but the plan records {plan.n_records}"
-            )
         row = meta["row"]
         if not (type(row) is int and 0 <= row < n_rows):
             raise PersistError(f"{path}: row {row!r} is not among its {n_rows} rows")

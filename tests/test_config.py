@@ -38,7 +38,7 @@ def test_minimal_config_valid():
     cfg = from_dict(minimal_qnd_dict())
     assert cfg.name == "minimal"
     assert cfg.collapse_enabled
-    assert cfg.subsystem_labels == ("spin", "pointer")
+    assert [s["label"] for s in cfg.space["subsystems"]] == ["spin", "pointer"]
 
 
 def test_unknown_key_named_in_error():

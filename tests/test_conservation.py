@@ -385,7 +385,7 @@ class TestBranchTotalCheck:
         sc, records = ensemble
         i = next(k for k, r in enumerate(records) if r.collapsed_branch is not None)
         rec = records[i]
-        idx = int(np.ceil(rec.collapse_step / rec.plan.record_every))
+        idx = int(np.ceil(rec.collapse_step / sc.plan.record_every))
         rate = lindblad_drift_rate_bound(sc.hamiltonian, sc.collapse_op)
         bound = rate * rec.times[idx] + 5.0 * np.sqrt(rec.qv_series["energy"][idx]) + 1e-9
         table = rec.table.copy()
@@ -453,13 +453,13 @@ def test_unitary_entry_is_the_worst_trajectory_audited_alone():
 def table_record(plan, seed, **observables):
     """A record of the given real or complex observables, and no other
     series, built from the table a run of ``plan`` would record."""
-    rows = [np.arange(plan.n_records) * plan.dt, np.ones(plan.n_records)]
+    rows = [plan.record_times, np.ones(plan.n_records)]
     for series in observables.values():
         rows += [series.real, series.imag] if np.iscomplexobj(series) else [series]
     columns = _column_names(
         [(name, np.iscomplexobj(v)) for name, v in observables.items()], [], [], [])
     return cl.TrajectoryRecord(columns=columns, table=np.array(rows),
-                               final_state=None, seed=seed, plan=plan)
+                               final_state=None, seed=seed)
 
 
 def test_unitary_drift_unwraps_each_trajectory_phase():
@@ -565,6 +565,20 @@ def test_oracle_solved_once_per_audit(monkeypatch):
     assert report.ensemble["oracle:energy"]["passed"]
     assert report.ensemble["oracle:kin"]["passed"]
     assert report.passed
+
+def test_records_of_another_plan_refused():
+    # every record is judged against the scenario's plan, not the first
+    # record's: 10x dt records the same count of times, to 20.0, not 2.0
+    sc = realize(from_dict(d8_config()))
+    fast = dataclasses.replace(sc, plan=dataclasses.replace(sc.plan, dt=10 * sc.plan.dt))
+    _, own = run_ensemble(sc, 20, base_seed=0, keep_records=True)
+    _, other = run_ensemble(fast, 40, base_seed=20, keep_records=True)
+    refusal = (r"trajectory seed 20 has a t column of 21 records from 0.0 to 20.0, "
+               r"not the scenario plan's 21 record times from 0.0 to 2.0$")
+    for records in (other, [*own, *other[:20]]):
+        with pytest.raises(DimensionError, match=refusal):
+            audit_run(records, list(sc.quantities), sc)
+
 
 def _short(name, n_steps=20, record_every=10, **changes) -> "cl.ScenarioConfig":
     d = builtin_scenario(name).to_dict()

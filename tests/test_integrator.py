@@ -25,7 +25,7 @@ from collapse_lab.integrator import (
 )
 from collapse_lab.operators import AssembledOperator
 from collapse_lab.persist import trajectory_csv_text
-from collapse_lab.scenarios import builtin_scenario, realize
+from collapse_lab.scenarios import builtin_names, builtin_scenario, realize
 
 from conftest import (
     SIGMA_X,
@@ -433,6 +433,13 @@ def test_trace_distance():
     assert trace_distance(a, a) == 0.0
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_record_times_are_the_kernels_t_column(name):
+    sc = realize(builtin_scenario(name))
+    rec = run_trajectory(sc)
+    assert rec.times.tobytes() == sc.plan.record_times.tobytes()
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         IntegrationPlan(dt=-1.0, n_steps=10)
@@ -804,12 +811,13 @@ class TestTable:
         plan = IntegrationPlan(dt=1e-3, n_steps=4)
         columns = ("t", "norm_pre", "x")
         table = np.ones((3, plan.n_records))
-        TrajectoryRecord(columns, table, None, 0, plan)
-        for bad in (table[:2], table[:, None], np.ones((4, plan.n_records))):
+        TrajectoryRecord(columns, table, None, 0)
+        for bad in (table[:2], table[:, None], np.ones((4, plan.n_records)),
+                    table[:, :0]):
             with pytest.raises(DimensionError, match="3 columns"):
-                TrajectoryRecord(columns, bad, None, 0, plan)
+                TrajectoryRecord(columns, bad, None, 0)
         with pytest.raises(DimensionError, match="no t column"):
-            TrajectoryRecord(("u", "norm_pre", "x"), table, None, 0, plan)
+            TrajectoryRecord(("u", "norm_pre", "x"), table, None, 0)
 
 
 def assert_identical_stats(a, b):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -70,6 +71,12 @@ class TestPersist:
         with pytest.raises(PersistError):
             persist_run([rec2], build_manifest(cfg, [10], "trajectory"), out)
 
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_plan_dict_is_asdict(self, name):
+        # ensemble.json stores the config's plan dict: it holds every field
+        cfg = builtin_scenario(name)
+        assert cfg.plan == asdict(realize(cfg).plan)
+
     def test_refusal_names_what_differs(self, tmp_path):
         cfg = small_qnd_config()
         sc = realize(cfg)
@@ -87,11 +94,6 @@ class TestPersist:
                 r"differs in seeds \[9\] vs \[10\]; artifacts notes\.json, "
                 r"trajectory_seed10\.csv, trajectory_seed9\.csv\)")):
             persist_run([rec2], build_manifest(cfg, [10], "trajectory"), out)
-
-    @pytest.mark.parametrize("name", builtin_names())
-    def test_plan_dict_is_asdict(self, name):
-        plan = realize(builtin_scenario(name)).plan
-        assert persist._plan_dict(plan) == asdict(plan)
 
     def test_corrupt_manifest_not_overwritten(self, tmp_path):
         out = tmp_path / "run"
@@ -445,9 +447,12 @@ class TestContentHashes:
         meta["sha256"] = _sha256(csv)  # a manifest that agrees with the edit
         with pytest.raises(PersistError, match="branch weights"):
             load_trajectory_csv(csv, meta)
-        del meta["sha256"]
-        with pytest.raises(PersistError, match="no content hash"):
-            load_trajectory_csv(csv, meta)
+        raw = json.loads((out / "manifest.json").read_text())
+        del raw["trajectories"][0]["sha256"]
+        (out / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(PersistError,
+                           match=r"trajectories\[0\] sha256 None is not a content hash"):
+            load_manifest(out)
 
 
 def small_ensemble(tmp_path):
@@ -470,10 +475,13 @@ def _series(rec) -> dict:
 
 class TestEnsembleArray:
     def test_one_array_round_trips_every_row(self, tmp_path):
-        _, recs, out = small_ensemble(tmp_path)
+        cfg, recs, out = small_ensemble(tmp_path)
         manifest = load_manifest(out)
         assert sorted(p.name for p in out.iterdir()) == [
             "ensemble.json", "manifest.json", "trajectories.npy"]
+        # the statistics' plan is the config's, with the base seed
+        stored = json.loads((out / "ensemble.json").read_text())
+        assert stored["plan"] == {**cfg.plan, "seed": 40}
         assert manifest.artifacts["trajectories.npy"] == _sha256(out / "trajectories.npy")
         array = np.load(out / "trajectories.npy")
         assert array.shape == (5,)
@@ -577,12 +585,19 @@ class TestEnsembleArray:
         with pytest.raises(PersistError, match="trajectories.npy: a table of shape"):
             load_trajectory_csv(out / meta["file"], meta)
 
-    def test_record_count_must_be_the_plans(self, tmp_path):
+    def test_record_count_must_be_the_plans(self, tmp_path, capsys):
+        # rows of 9 records under a plan of 17: the rows load, the audit refuses
         _, _, out = small_ensemble(tmp_path)
-        meta = load_manifest(out).trajectories[0]
-        plan = {**meta["plan"], "n_steps": 2 * meta["plan"]["n_steps"]}
-        with pytest.raises(PersistError, match="9 records, but the plan records 17"):
-            load_trajectory_csv(out / meta["file"], {**meta, "plan": plan})
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["config"]["plan"]["n_steps"] *= 2
+        raw["config_hash"] = dict_hash(raw["config"])
+        (out / "manifest.json").write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory seed 40 has a t column of 9 records from 0.0 to 0.4, "
+            "not the scenario plan's 17 record times from 0.0 to 0.8\n")
+        assert not (out / "audit.json").exists()
 
     def test_row_must_be_an_int_in_range(self, tmp_path):
         _, _, out = small_ensemble(tmp_path)
@@ -655,7 +670,7 @@ class TestEnsembleArray:
             manifest.trajectories.append({
                 "seed": rec.seed, "file": name, "sha256": manifest.artifacts[name],
                 "collapsed_branch": rec.collapsed_branch,
-                "collapse_step": rec.collapse_step, "plan": asdict(rec.plan),
+                "collapse_step": rec.collapse_step, "plan": {**cfg.plan, "seed": rec.seed},
             })
         raw = {**manifest.to_dict(), "trajectories": manifest.trajectories}
         (out / "manifest.json").write_text(json.dumps(raw))
@@ -689,24 +704,21 @@ class TestEnsembleArray:
     ("collapse_step", "5"), ("collapse_step", -1), ("collapse_step", 401),
     ("collapse_step", 3.0), ("collapsed_branch", 5), ("norm_drift_mean", "0"),
     ("seed", 41), ("file", "trajectory_seed40.csv"), ("row", 1),
-    ("columns", ["t", "norm_pre"]),
+    ("columns", ["t", "norm_pre"]), ("collapsed_branch", "sideways"),
+    ("collapse_step", 10 ** 6),
 ])
 def test_malformed_manifest_entry_refused(tmp_path, capsys, field, value):
+    # every entry is checked once, by load_manifest, before any row is read
     _, _, out = small_ensemble(tmp_path)
     raw = json.loads((out / "manifest.json").read_text())
     raw["trajectories"][0][field] = value
     (out / "manifest.json").write_text(json.dumps(raw))
+    refusal = f"manifest trajectories[0] {field} {value!r} is not "
     if field in ("plan", "seed", "file", "row", "columns"):  # derived: may only be repeated
-        refusal = f"manifest trajectories[0] {field} {value!r} is not the run's "
-        with pytest.raises(PersistError) as raised:
-            load_manifest(out)
-        assert str(raised.value).startswith(refusal)
-    else:
-        refusal = f"{out / 'trajectories.npy'}: manifest {field} {value!r} "
-        meta = load_manifest(out).trajectories[0]
-        with pytest.raises(PersistError) as raised:
-            load_trajectory_csv(out / "trajectories.npy", meta)
-        assert str(raised.value).startswith(refusal)
+        refusal += "the run's "
+    with pytest.raises(PersistError) as raised:
+        load_manifest(out)
+    assert str(raised.value).startswith(refusal)
     capsys.readouterr()
     assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -723,10 +735,55 @@ def test_manifest_plan_refusal_is_the_plans_own(plan):
     # the refusal carries the message of IntegrationPlan(**plan), each time
     with pytest.raises((TypeError, ValueError)) as plain:
         IntegrationPlan(**plan)
+    manifest = build_manifest(small_qnd_config(), [0], "trajectory")
+    manifest.config["plan"] = plan
+    manifest.config_hash = dict_hash(manifest.config)
     for _ in range(2):
         with pytest.raises(PersistError) as refusal:
-            persist._entry_plan("x.npy", {"seed": 0, "plan": plan})
-        assert str(refusal.value) == f"x.npy: manifest plan is not a plan ({plain.value})"
+            persist.RunManifest.from_dict(manifest.to_dict())
+        assert str(refusal.value) == f"manifest plan is not a plan ({plain.value})"
+
+
+@pytest.mark.parametrize("step, branch", [(5, None), (None, "up")])
+def test_collapse_step_and_branch_set_together(tmp_path, capsys, step, branch):
+    # the kernel writes a collapse's step and branch together, or neither
+    _, _, out = small_ensemble(tmp_path)
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["trajectories"][0].update(collapse_step=step, collapsed_branch=branch)
+    (out / "manifest.json").write_text(json.dumps(raw))
+    refusal = (f"manifest trajectories[0] collapse_step {step!r} and collapsed_branch "
+               f"{branch!r} are not both set or both null")
+    with pytest.raises(PersistError, match=re.escape(refusal)):
+        load_manifest(out)
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not (out / "audit.json").exists()
+
+
+@pytest.mark.parametrize("kept", [10, 0])
+def test_csv_of_another_record_count_refused(tmp_path, capsys, kept):
+    # a run CSV cut to ``kept`` of its 51 records, under a manifest whose
+    # hashes agree with the cut: the audit (or, with no record, the load)
+    # refuses it with one error line
+    out = tmp_path / "run"
+    assert cli_run(["run", "--config", "qnd-two-level", "--seed", "3",
+                    "--out-dir", str(out), "--quiet"]) == 0
+    csv = out / "trajectory_seed3.csv"
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 52
+    csv.write_text("\n".join(lines[:1 + kept]) + "\n", encoding="utf-8")
+    raw = json.loads((out / "manifest.json").read_text())
+    raw["artifacts"][csv.name] = raw["trajectories"][0]["sha256"] = _sha256(csv)
+    (out / "manifest.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli_run(["audit", "--run-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("trajectory seed 3 has a t column of 10 records" in err
+            and "the scenario plan's 51 record times" in err) if kept else \
+        "a table of shape (8, 0) for 8 columns and at least one record" in err
+    assert not (out / "audit.json").exists()
 
 
 def _drop_array(raw):
@@ -837,8 +894,10 @@ def _as_schema_3(out):
     """Rewrite the manifest at ``out`` in the layout of schema 3: every entry
     states its seed, plan, file, row and columns, and none its drift."""
     manifest = load_manifest(out)
+    plan = manifest.config["plan"]
     raw = {**manifest.to_dict(), "schema_version": 3, "trajectories": [
-        {k: v for k, v in entry.items() if k != "norm_drift_mean"}
+        {**{k: v for k, v in entry.items() if k != "norm_drift_mean"},
+         "plan": {**plan, "seed": entry["seed"]}}
         for entry in manifest.trajectories]}
     del raw["columns"]
     (out / "manifest.json").write_text(json.dumps(raw))
