@@ -186,6 +186,8 @@ def _cmd_analyze(args) -> int:
         PostSelection(x_f=args.x_f, epsilon=eps)
         if args.sweep_xf is not None:
             lo, hi, n = args.sweep_xf
+            if not n.is_integer():
+                raise ValueError(f"--sweep-xf N must be a whole number, got {n!r}")
             xs = np.linspace(lo, hi, int(n))
     except (ValueError, OverflowError) as exc:
         raise ConfigError([str(exc)]) from exc
@@ -199,7 +201,8 @@ def _cmd_analyze(args) -> int:
             "x_f": x_f,
             "closed": _jsonify(closed),
             "quadrature": _jsonify(quadrature),
-            "relative_deviation": abs(quadrature - closed) / max(abs(closed), 1e-300),
+            # absolute where the closed form is exactly 0
+            "relative_deviation": abs(quadrature - closed) / (abs(closed) or 1.0),
             "polar": {"r": r, "theta": theta},
             "dominant": _jsonify(dominant_momentum(params, x_f)),
         }

@@ -55,19 +55,8 @@ class ScenarioConfig:
     audits: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "space": _deep_copy(self.space),
-            "operators": _deep_copy(self.operators),
-            "collapse": _deep_copy(self.collapse),
-            "initial_state": _deep_copy(self.initial_state),
-            "plan": _deep_copy(self.plan),
-            "observables": _deep_copy(list(self.observables)),
-            "branches": _deep_copy(list(self.branches)),
-            "bipartitions": [list(b) for b in self.bipartitions],
-            "audits": _deep_copy(list(self.audits)),
-        }
+        """The sections, in field order, as one JSON document."""
+        return _deep_copy(vars(self))
 
     def integration_plan(self) -> IntegrationPlan:
         return IntegrationPlan(**self.plan)
@@ -234,9 +223,12 @@ def _potential(v) -> dict:
 
 @dataclass(frozen=True)
 class _Label:
-    """Reference to a declared subsystem, of one of ``kinds`` if given."""
+    """Reference to a declared subsystem: of one of ``kinds`` if given, of
+    dimension ``dim`` if given, and a periodic lattice if ``periodic``."""
 
     kinds: tuple[str, ...] = ()
+    dim: int | None = None
+    periodic: bool = False
 
 
 @dataclass(frozen=True)
@@ -299,7 +291,7 @@ _TERMS = _Variant("type", {
         "potential": (_potential, REQUIRED),
     },
     "spin_coupling": {
-        "spin_subsystem": (_Label(("spin",)), REQUIRED),
+        "spin_subsystem": (_Label(("spin",), dim=2), REQUIRED),
         "pointer_subsystem": (_Label(("lattice1d",)), REQUIRED),
         "strength": (_number, REQUIRED),
     },
@@ -314,8 +306,9 @@ _GAUSSIAN_FACTOR = {
 }
 
 _NAMED = {"name": (_name, REQUIRED)}
-_ON_SPIN = {**_NAMED, "subsystem": (_Label(("spin",)), REQUIRED)}
+_ON_SPIN = {**_NAMED, "subsystem": (_Label(("spin",), dim=2), REQUIRED)}
 _ON_LATTICE = {**_NAMED, "subsystem": (_Label(("lattice1d",)), REQUIRED)}
+_ON_RING = {**_NAMED, "subsystem": (_Label(("lattice1d",), periodic=True), REQUIRED)}
 
 _TOP = {
     "schema_version": (_enum(SCHEMA_VERSION), SCHEMA_VERSION),
@@ -337,7 +330,7 @@ _TOP = {
         "two_branch": {
             "delta": (_fraction, REQUIRED),
             "model": (_enum("two-mode", "displaced-gaussian"), "two-mode"),
-            "branch_subsystem": (_Label(), REQUIRED),
+            "branch_subsystem": (_Label(dim=2), REQUIRED),
             "mirror_subsystem": (_Label(), REQUIRED),
             "mirror_width": (_positive, OPTIONAL),
         },
@@ -357,7 +350,7 @@ _TOP = {
         "spin_z": _ON_SPIN,
         "position": _ON_LATTICE,
         "width": _ON_LATTICE,
-        "momentum": _ON_LATTICE,
+        "momentum": _ON_RING,
     })), []),
     "branches": (_Items({
         "label": (_name, REQUIRED),
@@ -408,7 +401,7 @@ class _Check:
         elif type(rule) is _Variant:
             out = self.variant(v, path, rule)
         elif type(rule) is _Label:
-            out = self.label(v, path, rule.kinds)
+            out = self.label(v, path, rule)
         else:
             try:
                 out = rule(v)
@@ -452,13 +445,17 @@ class _Check:
             return None
         return [self.value(v, f"{path}[{i}]", rule.rule) for i, v in enumerate(raw)]
 
-    def label(self, v, path: str, kinds) -> str | None:
+    def label(self, v, path: str, rule: _Label) -> str | None:
         sub = self.subsystems.get(v) if isinstance(v, str) else None
         if sub is None:
             self.err(path, f"unknown subsystem {v!r}")
-        elif kinds and sub["kind"] not in kinds:
+        elif rule.kinds and sub["kind"] not in rule.kinds:
             self.err(path, f"subsystem {v!r} has kind {sub['kind']}, "
-                     f"expected one of {sorted(kinds)}")
+                     f"expected one of {sorted(rule.kinds)}")
+        elif rule.dim is not None and sub["dim"] != rule.dim:
+            self.err(path, f"subsystem {v!r} has dim {sub['dim']}, expected {rule.dim}")
+        elif rule.periodic and not sub.get("periodic"):
+            self.err(path, f"subsystem {v!r} is a hard-wall lattice, expected a periodic one")
         return v
 
 
@@ -476,9 +473,12 @@ def _check_terms(chk: _Check, terms, path: str) -> None:
                 chk.err(f"{path}[{i}].samples", f"expected {dim} samples")
         elif t["type"] == "interaction" and t["subsystem_i"] == t["subsystem_j"]:
             chk.err(f"{path}[{i}]", "interaction needs two distinct subsystems")
-        elif (t["type"] == "spin_coupling"
-              and chk.subsystems[t["spin_subsystem"]]["dim"] != 2):
-            chk.err(f"{path}[{i}]", "spin_coupling spin subsystem must have dim 2")
+        elif t["type"] == "interaction":
+            si, sj = (chk.subsystems[t[k]] for k in ("subsystem_i", "subsystem_j"))
+            if si["periodic"] and sj["periodic"] and (
+                    (si["dim"], si["grid_spacing"]) != (sj["dim"], sj["grid_spacing"])):
+                chk.err(f"{path}[{i}]", "an interaction of two periodic lattices needs "
+                        "one dim and one grid_spacing")
 
 
 def _read_factors(chk: _Check, factors: Mapping) -> dict:
@@ -625,11 +625,16 @@ def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
                 all_periodic and len({s["dim"] for s in lattices}) == 1):
             chk.err("initial_state.shift_sector", "sector projection needs periodic "
                     "lattice subsystems of one site count")
-    if (init is not None and init["kind"] == "two_branch"
-            and init["model"] == "displaced-gaussian"
-            and chk.subsystems[init["mirror_subsystem"]]["kind"] != "lattice1d"):
-        chk.err("initial_state.mirror_subsystem",
-                "displaced-gaussian needs a lattice mirror subsystem")
+    if init is not None and init["kind"] == "two_branch":
+        mirror = chk.subsystems[init["mirror_subsystem"]]
+        if init["mirror_subsystem"] == init["branch_subsystem"]:
+            chk.err("initial_state.mirror_subsystem", "the mirror must be another subsystem")
+        elif init["model"] == "displaced-gaussian" and mirror["kind"] != "lattice1d":
+            chk.err("initial_state.mirror_subsystem",
+                    "displaced-gaussian needs a lattice mirror subsystem")
+        elif init["model"] == "two-mode" and mirror["dim"] != 2:
+            chk.err("initial_state.mirror_subsystem",
+                    "two-mode needs a mirror subsystem of dim 2")
 
     if top.get("plan") is not None:
         try:
@@ -655,10 +660,12 @@ def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
     audits = top.get("audits") or []
     _check_unique_names(chk, audits, "audits")
     _check_series_names(chk, space, observables, top.get("branches") or [], audits)
-    for i, a in enumerate(audits):
-        if a is not None and a["kind"] == "total_quasimomentum" and not all_periodic:
-            chk.err(f"audits[{i}]", "total_quasimomentum needs all-periodic lattice "
-                    "subsystems")
+    for section, entries in (("observables", observables), ("audits", audits)):
+        for i, e in enumerate(entries):
+            if (e is not None and e["kind"] in ("total_shift", "total_quasimomentum")
+                    and not all_periodic):
+                chk.err(f"{section}[{i}]", f"{e['kind']} needs all-periodic lattice "
+                        "subsystems")
 
     if chk.errors:
         raise ConfigError(chk.errors)

@@ -356,23 +356,22 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
 
 
 def run_trajectory(
-    scenario: "RealizedScenario | ScenarioConfig",
+    scenario: RealizedScenario,
     seed: int | None = None,
     *,
     record_states: bool = False,
 ) -> TrajectoryRecord:
     """Integrate one trajectory; deterministic given the seed.
 
-    Accepts a declarative config (realized on the fly) or an already
-    realized scenario.  ``seed`` overrides the plan seed when given;
+    ``scenario`` is what :func:`~collapse_lab.scenarios.realize` builds
+    from a config.  ``seed`` overrides the plan seed when given;
     ``record_states`` additionally stores the state at each recorded time.
     """
-    sc = _ensure_realized(scenario)
-    seed = sc.plan.seed if seed is None else seed
-    check_stability(sc.plan, sc.collapse_op)
-    out = _chunk_block(sc, 1, record_states)
-    _run_chunk_batched(sc, [seed], out)
-    return _records(sc, [seed], out)[0]
+    seed = scenario.plan.seed if seed is None else seed
+    check_stability(scenario.plan, scenario.collapse_op)
+    out = _chunk_block(scenario, 1, record_states)
+    _run_chunk_batched(scenario, [seed], out)
+    return _records(scenario, [seed], out)[0]
 
 
 @dataclass(eq=False)
@@ -402,28 +401,22 @@ class EnsembleStats:
     base_seed: int = 0
 
 
-def _ensure_realized(scenario) -> RealizedScenario:
-    if isinstance(scenario, RealizedScenario):
-        return scenario
-    from .scenarios import realize  # deferred: scenarios builds on this module's types
-
-    return realize(scenario)
-
-
 def ensemble_seeds(base_seed: int, n_traj: int) -> list[int]:
     """Seeds of an ensemble's trajectories, in the order they are reduced."""
     return [base_seed + i for i in range(n_traj)]
 
 
 def run_ensemble(
-    scenario: "RealizedScenario | ScenarioConfig",
+    scenario: RealizedScenario,
     n_traj: int,
     base_seed: int = 0,
     *,
     record_density: bool = False,
     keep_records: bool = False,
 ) -> tuple[EnsembleStats, list[TrajectoryRecord]]:
-    """Run ``n_traj`` trajectories with seeds base_seed + index.
+    """Run ``n_traj`` trajectories of ``scenario``, which is what
+    :func:`~collapse_lab.scenarios.realize` builds from a config, with
+    seeds base_seed + index.
 
     Trajectories run in lock-step chunks of balanced sizes that depend on
     ``n_traj`` and the dimension only (:func:`_chunk_sizes`).  With two
@@ -441,14 +434,13 @@ def run_ensemble(
     """
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
-    sc = _ensure_realized(scenario)
-    d = sc.space.total_dim
+    d = scenario.space.total_dim
     if record_density and d > 64:
         raise DimensionError(
             "density recording is limited to total_dim <= 64; average "
             "projectors of larger systems are not materialized"
         )
-    check_stability(sc.plan, sc.collapse_op)
+    check_stability(scenario.plan, scenario.collapse_op)
 
     seeds = ensemble_seeds(base_seed, n_traj)
     sizes = _chunk_sizes(n_traj, d)
@@ -456,7 +448,7 @@ def run_ensemble(
     n_proc = _processes(len(sizes))
     # kept records are views of one n_traj-row block; otherwise the chunks
     # of one process share rows, one chunk per process in flight
-    block = _chunk_block(sc, n_traj if keep_records else n_proc * sizes[0],
+    block = _chunk_block(scenario, n_traj if keep_records else n_proc * sizes[0],
                          record_density)
 
     def rows(i: int) -> _Chunk:
@@ -464,15 +456,15 @@ def run_ensemble(
         return block.rows(lo, lo + sizes[i])
 
     def run(i: int) -> None:
-        _run_chunk_batched(sc, seeds[starts[i]:starts[i + 1]], rows(i))
+        _run_chunk_batched(scenario, seeds[starts[i]:starts[i + 1]], rows(i))
 
     # column totals of the series and their centered sums of squares, from
     # 0.0 as a row-by-row sum: a column of -0.0 totals +0.0
     obs_sum, obs_m2, w_sum, w_m2, ent_sum = (defaultdict(float) for _ in range(5))
-    labels = [*(br.label for br in sc.branches), "uncollapsed"]  # [-1]: none
+    labels = [*(br.label for br in scenario.branches), "uncollapsed"]  # [-1]: none
     outcomes: Counter[str] = Counter()
     drift, records = np.empty(n_traj), []
-    density = np.zeros((sc.plan.n_records, d, d), complex) if record_density else None
+    density = np.zeros((scenario.plan.n_records, d, d), complex) if record_density else None
     with _ChunkRunner(run, len(sizes), n_proc, reuse=not keep_records) as runner:
         for i, (start, stop) in enumerate(zip(starts, starts[1:])):
             runner.ready(i)
@@ -488,13 +480,13 @@ def run_ensemble(
             if density is not None:
                 density += np.einsum("bti,btj->tij", chunk.states, chunk.states.conj())
             if keep_records:
-                records.extend(_records(sc, seeds[start:stop], chunk))
+                records.extend(_records(scenario, seeds[start:stop], chunk))
             runner.release(i)
 
     obs_mean, obs_var, obs_se = _moments(obs_sum, obs_m2, n_traj)
     w_mean, _, w_se = _moments(w_sum, w_m2, n_traj)
     return EnsembleStats(
-        times=sc.plan.record_times,
+        times=scenario.plan.record_times,
         n_traj=n_traj,
         observable_mean=obs_mean,
         observable_var=obs_var,

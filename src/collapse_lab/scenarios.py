@@ -1,8 +1,9 @@
 """Scenario library and config realization.
 
-Builds concrete spaces, operators, and initial states from a validated
-:class:`~collapse_lab.config.ScenarioConfig`, and ships a small library of
-ready-made scenarios:
+:func:`realize` is the one way from a validated config to the
+:class:`~collapse_lab.integrator.RealizedScenario` the integrator runs, and
+:func:`_series_operator` picks every observable and audit operator.  The
+module also ships a small library of ready-made scenarios:
 
 qnd-two-level
     A two-level system coupled to a frozen one-site pointer, so the
@@ -162,39 +163,31 @@ _OPERATOR_BUILDERS = {
 
 def _operator_cache(space: CompositeSpace):
     """Builds each observable and audit operator of ``space`` once, on first use."""
-    return functools.cache(
-        lambda kind, label=None: _OPERATOR_BUILDERS[kind](space, label)
-    )
+    return functools.cache(lambda kind, label: _OPERATOR_BUILDERS[kind](space, label))
 
 
-def _realize_observable(spec: dict, operators, hamiltonian, vhat) -> Observable:
-    name, kind = spec["name"], spec["kind"]
+def _series_operator(spec: dict, space: CompositeSpace, operators, hamiltonian,
+                     vhat) -> AssembledOperator:
+    """The operator of the recorded series ``spec``, an observable or an audit."""
+    kind = spec["kind"]
     if kind == "energy":
-        return Observable(name, hamiltonian)
+        return hamiltonian
     if kind == "collapse_potential":
-        return Observable(name, vhat)
-    if kind == "total_shift":
-        return Observable(name, operators(kind))
-    if kind == "width":
-        return Observable(name, operators("position", spec["subsystem"]), "width")
-    return Observable(name, operators(kind, spec["subsystem"]))
+        return vhat
+    if kind == "custom":
+        return assemble_hamiltonian(build_operator_spec(spec["terms"]), space)
+    if kind in ("total_shift", "total_quasimomentum"):
+        return operators("total_shift", None)
+    return operators("position" if kind == "width" else kind, spec["subsystem"])
 
 
 def _audits(config: ScenarioConfig, space: CompositeSpace, hamiltonian,
             operators) -> list[ConservedQuantity]:
-    out = []
-    for a in config.audits:
-        name, kind = a["name"], a["kind"]
-        if kind == "energy":
-            out.append(ConservedQuantity(name, hamiltonian, kind))
-        elif kind == "total_quasimomentum":
-            out.append(ConservedQuantity(name, operators("total_shift"), kind))
-        elif kind == "spin_z":
-            out.append(ConservedQuantity(name, operators(kind, a["subsystem"]), kind))
-        else:
-            op = assemble_hamiltonian(build_operator_spec(a["terms"]), space)
-            out.append(ConservedQuantity(name, op, kind))
-    return out
+    return [
+        ConservedQuantity(a["name"], _series_operator(a, space, operators, hamiltonian, None),
+                          a["kind"])
+        for a in config.audits
+    ]
 
 
 def realize_audits(
@@ -229,7 +222,9 @@ def realize(config: ScenarioConfig) -> RealizedScenario:
 
     operators = _operator_cache(space)
     observables = [
-        _realize_observable(o, operators, hamiltonian, vhat) for o in config.observables
+        Observable(o["name"], _series_operator(o, space, operators, hamiltonian, vhat),
+                   "width" if o["kind"] == "width" else "expectation")
+        for o in config.observables
     ]
 
     # the config keeps audit names apart from observable names, and '.'

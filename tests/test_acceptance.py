@@ -108,7 +108,7 @@ def test_criterion_4_norm_martingale_and_strong_order():
         # (a) per-step pre-renormalization drift: ensemble mean within 3 SE of 0
         d = builtin_scenario("qnd-two-level").to_dict()
         d["plan"].update({"dt": 5e-5, "n_steps": 4000, "record_every": 400})
-        stats, _ = run_ensemble(from_dict(d), 500, base_seed=4000)
+        stats, _ = run_ensemble(realize(from_dict(d)), 500, base_seed=4000)
         assert abs(stats.norm_drift_mean) <= 3.0 * stats.norm_drift_stderr
 
         # (b) fixed-noise-path strong error shrinks by >= sqrt(2) per halving

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from collapse_lab.cli import cli_run
 from collapse_lab.config import config_hash, from_dict, load_config, serialize
 from collapse_lab.errors import CollapseLabError, ConfigError
 from collapse_lab.scenarios import builtin_names, builtin_scenario, realize
@@ -413,3 +414,88 @@ def test_every_single_value_mutation_is_refused_or_realized():
                     escapes.append((name, path, value, "realize", repr(exc)))
     assert n == 3984
     assert escapes == []
+
+
+def _spin3(d):
+    """qnd-two-level with a 3-level spin and nothing left that needs dim 2."""
+    d["space"]["subsystems"][0]["dim"] = 3
+    d["initial_state"]["factors"]["spin"].append([0.0, 0.0])
+    d["operators"]["terms"] = []
+    d["observables"] = [o for o in d["observables"] if o["kind"] != "spin_z"]
+    d["audits"] = []
+    d["branches"][1]["sites"] = [1, 2]
+
+
+def _photon3(d):
+    """beamsplitter with a 3-level photon, its branches partitioning it."""
+    d["space"]["subsystems"][0]["dim"] = 3
+    d["branches"][1]["sites"] = [1, 2]
+
+
+_SPIN_Z = {"name": "sz", "kind": "spin_z", "subsystem": "spin"}
+_SPIN_COUPLING = {"type": "spin_coupling", "spin_subsystem": "spin",
+                  "pointer_subsystem": "pointer", "strength": 1.0}
+
+# scenario, the one path refused, edit: each a config whose operators or
+# state realize could not build
+REALIZE_REFUSALS = {
+    "momentum on a hard-wall lattice": (
+        "stern-gerlach", "observables[2].subsystem",
+        lambda d: d["observables"].append(
+            {"name": "p", "kind": "momentum", "subsystem": "pointer"})),
+    "total_shift beside a hard-wall lattice": (
+        "stern-gerlach", "observables[2]",
+        lambda d: d["observables"].append({"name": "ts", "kind": "total_shift"})),
+    "spin_z observable on a 3-level spin": (
+        "qnd-two-level", "observables[1].subsystem",
+        lambda d: (_spin3(d), d["observables"].append(_SPIN_Z))),
+    "spin_z audit on a 3-level spin": (
+        "qnd-two-level", "audits[0].subsystem",
+        lambda d: (_spin3(d), d["audits"].append(_SPIN_Z))),
+    "spin_coupling of a 3-level spin": (
+        "qnd-two-level", "operators.terms[0].spin_subsystem",
+        lambda d: (_spin3(d), d["operators"]["terms"].append(_SPIN_COUPLING))),
+    "interaction of periodic lattices on two grids": (
+        "two-particle-collision", "operators.terms[2]",
+        lambda d: d["space"]["subsystems"][1].update(dim=32)),
+    "two-branch state on a 3-level branch subsystem": (
+        "beamsplitter", "initial_state.branch_subsystem", _photon3),
+    "two-mode mirror of 3 levels": (
+        "beamsplitter", "initial_state.mirror_subsystem",
+        lambda d: d["space"]["subsystems"][1].update(dim=3)),
+    "two-branch mirror on the branch subsystem": (
+        "beamsplitter", "initial_state.mirror_subsystem",
+        lambda d: d["initial_state"].update(mirror_subsystem="photon")),
+}
+
+
+def test_three_level_spin_realizes():
+    d = builtin_scenario("qnd-two-level").to_dict()
+    _spin3(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # _spin3 leaves no interaction: V is zero
+        realize(from_dict(d))
+
+
+@pytest.mark.parametrize("case", sorted(REALIZE_REFUSALS))
+def test_series_and_terms_realize_cannot_build_refused(case):
+    name, path, edit = REALIZE_REFUSALS[case]
+    d = builtin_scenario(name).to_dict()
+    edit(d)
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert [e.split(": ")[0] for e in err.value.errors] == [path]
+
+
+def test_two_refusals_reported_together_exit_1(tmp_path, capsys):
+    d = builtin_scenario("stern-gerlach").to_dict()
+    for case in ("momentum on a hard-wall lattice", "total_shift beside a hard-wall lattice"):
+        REALIZE_REFUSALS[case][2](d)
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(d))
+    code = cli_run(["run", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+                    "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert [e.split(": ")[1] for e in err.splitlines()] == [
+        "observables[2].subsystem", "observables[3]"]

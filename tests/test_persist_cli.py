@@ -185,7 +185,8 @@ class TestCli:
         ["--a", "0", "--t", "1"], ["--a", "1", "--t", "-1"],
         ["--a", "1", "--t", "1", "--m", "0"], ["--a", "1", "--t", "1", "--hbar", "-1"],
         ["--a", "1", "--t", "1", "--epsilon", "0"],
-        ["--a", "1", "--t", "1", "--sweep-xf", "0", "1", "-1"]])
+        ["--a", "1", "--t", "1", "--sweep-xf", "0", "1", "-1"],
+        ["--a", "1", "--t", "1", "--sweep-xf", "0", "3", "2.5"]])
     def test_analyze_refuses_bad_arguments_in_one_line(self, tmp_path, capsys, args):
         code = cli_run(["analyze", *args, "--out-dir", str(tmp_path / "out")])
         captured = capsys.readouterr()
@@ -201,6 +202,16 @@ class TestCli:
         lines = (tmp_path / "momentum_sweep.csv").read_text().strip().split("\n")
         assert lines[0].startswith("x_f,closed_re")
         assert len(lines) == 5
+
+    def test_analyze_at_a_zero_closed_form_reports_the_absolute_deviation(self, capsys):
+        # the closed form at x_f = 0 is exactly 0; the quadrature misses it by ~1e-13
+        assert cli_run(["analyze", "--a", "1", "--t", "1", "--x-f", "0"]) == 0
+        point = json.loads(capsys.readouterr().out)["point"]
+        assert point["closed"] == {"re": 0.0, "im": 0.0}
+        assert point["relative_deviation"] < 1e-6
+        assert cli_run(["analyze", "--a", "1", "--t", "1", "--sweep-xf", "0", "3", "31"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 31 and float(rows[0].split(",")[-1]) < 1e-6
 
     def test_scenario_list(self, capsys):
         assert cli_run(["scenario", "list"]) == 0

@@ -5,7 +5,9 @@ import collapse_lab as cl
 from collapse_lab.config import from_dict
 from collapse_lab.errors import ConfigError
 from collapse_lab.integrator import run_trajectory
+from collapse_lab.operators import diagonal_operator, momentum_operator
 from collapse_lab.scenarios import (
+    build_operator_spec,
     builtin_names,
     builtin_scenario,
     project_shift_sector,
@@ -181,3 +183,81 @@ def test_energy_and_total_shift_observables():
     tshift = next(q.operator for q in sc.quantities if q.kind == "total_quasimomentum")
     assert ops["e"] is sc.hamiltonian and ops["shift"] is tshift
     assert (ops["shift"].matrix != cl.total_shift_generator(sc.space).matrix).nnz == 0
+
+
+def _every_series_config() -> dict:
+    """A spin beside two periodic 8-site lattices: every observable kind and
+    every audit kind has an operator on this space."""
+    lattice = {"kind": "lattice1d", "dim": 8, "grid_spacing": 0.5, "periodic": True}
+    kinetic = [{"type": "kinetic", "subsystem": s} for s in ("a", "b")]
+    one_site = [1.0] + [0.0] * 7
+    return {
+        "space": {"subsystems": [{"label": "spin", "kind": "spin", "dim": 2},
+                                 {"label": "a", **lattice}, {"label": "b", **lattice}]},
+        "operators": {"terms": [
+            *kinetic,
+            {"type": "interaction", "subsystem_i": "a", "subsystem_j": "b",
+             "potential": {"family": "gaussian_well", "depth": 2.0, "width": 0.7}},
+            {"type": "spin_coupling", "spin_subsystem": "spin",
+             "pointer_subsystem": "a", "strength": 0.5}]},
+        "collapse": {},
+        "initial_state": {"kind": "product", "factors": {
+            "spin": [1.0, 1.0], "a": one_site, "b": one_site[::-1]}},
+        "plan": {"dt": 1e-3, "n_steps": 10},
+        "observables": [
+            {"name": "e", "kind": "energy"},
+            {"name": "v", "kind": "collapse_potential"},
+            {"name": "shift", "kind": "total_shift"},
+            {"name": "sz", "kind": "spin_z", "subsystem": "spin"},
+            {"name": "x", "kind": "position", "subsystem": "a"},
+            {"name": "w", "kind": "width", "subsystem": "a"},
+            {"name": "p", "kind": "momentum", "subsystem": "b"},
+        ],
+        "audits": [
+            {"name": "energy", "kind": "energy"},
+            {"name": "tshift", "kind": "total_quasimomentum"},
+            {"name": "sz_audit", "kind": "spin_z", "subsystem": "spin"},
+            {"name": "kin", "kind": "custom", "terms": kinetic},
+        ],
+    }
+
+
+# the directly built operator of each series of _every_series_config()
+_DIRECT_SERIES_OPERATORS = {
+    "e": lambda sp, spec: cl.assemble_hamiltonian(spec, sp),
+    "v": lambda sp, spec: cl.collapse_operator(
+        cl.scaled_interaction_sum(spec, sp), cl.CollapseParams(1.0, 1.0)),
+    "shift": lambda sp, spec: cl.total_shift_generator(sp),
+    "sz": lambda sp, spec: diagonal_operator(sp, "spin", np.array([1.0, -1.0])),
+    "x": lambda sp, spec: diagonal_operator(sp, "a", sp.subsystem("a").positions()),
+    "w": lambda sp, spec: diagonal_operator(sp, "a", sp.subsystem("a").positions()),
+    "p": lambda sp, spec: momentum_operator(sp, "b"),
+    "energy": lambda sp, spec: cl.assemble_hamiltonian(spec, sp),
+    "tshift": lambda sp, spec: cl.total_shift_generator(sp),
+    "sz_audit": lambda sp, spec: diagonal_operator(sp, "spin", np.array([1.0, -1.0])),
+    "kin": lambda sp, spec: cl.assemble_hamiltonian(
+        cl.OperatorSpec([cl.KineticTerm("a"), cl.KineticTerm("b")]), sp),
+}
+
+
+@pytest.fixture(scope="module")
+def every_series():
+    return realize(from_dict(_every_series_config()))
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT_SERIES_OPERATORS))
+def test_every_series_kind_gets_its_direct_operator(every_series, name):
+    sc = every_series
+    series = {o.name: o for o in sc.observables}
+    audits = {q.name: q.operator for q in sc.quantities}
+    op = audits[name] if name in audits else series[name].op
+    spec = build_operator_spec(sc.config.operators["terms"])
+    expected = _DIRECT_SERIES_OPERATORS[name](sc.space, spec)
+    assert (op.matrix != expected.matrix).nnz == 0
+    assert (op.hermitian, op.unitary) == (expected.hermitian, expected.unitary)
+    if name in series:
+        assert series[name].kind == ("width" if name == "w" else "expectation")
+    # one operator object per built operator, whichever series asks for it
+    assert series["sz"].op is audits["sz_audit"]
+    assert series["shift"].op is audits["tshift"]
+    assert series["x"].op is series["w"].op
