@@ -382,6 +382,7 @@ class _Check:
         self.errors: list[str] = []
         self.failures = 0
         self.subsystems: dict[str, dict] = {}  # label -> entry, once space is read
+        self.refused: set[str] = set()  # labels of subsystems refused for their own fault
 
     def err(self, path: str, msg: str, *, fails: bool = True):
         self.errors.append(f"{path or 'top level'}: {msg}")
@@ -447,7 +448,9 @@ class _Check:
 
     def label(self, v, path: str, rule: _Label) -> str | None:
         sub = self.subsystems.get(v) if isinstance(v, str) else None
-        if sub is None:
+        if sub is None and isinstance(v, str) and v in self.refused:
+            self.failures += 1  # its declaration already reported why
+        elif sub is None:
             self.err(path, f"unknown subsystem {v!r}")
         elif rule.kinds and sub["kind"] not in rule.kinds:
             self.err(path, f"subsystem {v!r} has kind {sub['kind']}, "
@@ -484,7 +487,7 @@ def _check_terms(chk: _Check, terms, path: str) -> None:
 def _read_factors(chk: _Check, factors: Mapping) -> dict:
     """Per-label factors: an amplitude array, or a Gaussian on a lattice."""
     subs = chk.subsystems
-    unknown = sorted(set(factors) - set(subs))
+    unknown = sorted(set(factors) - set(subs) - chk.refused)
     missing = sorted(set(subs) - set(factors))
     if unknown:
         chk.err("initial_state.factors", f"unknown subsystem(s) {unknown}")
@@ -543,13 +546,19 @@ def _check_unique_names(chk: _Check, entries: list, section: str) -> None:
             seen.add(e["name"])
 
 
+# kinds whose series may be complex, recorded as <name>_re and <name>_im
+_COMPLEX_KINDS = ("momentum", "total_shift", "total_quasimomentum")
+
+
 def _check_series_names(chk: _Check, space: dict, observables: list,
                         branches: list, audits: list) -> None:
     """Observables and audits share one name space, that of the recorded
     series: a name is a column of the trajectory table, so it may not be
     ``t`` or ``norm_pre``, start like a branch, entropy or quadratic-
     variation column, end like half of a complex column, or contain the
-    ``.`` of the marginals of a quasimomentum audit.  Subsystem labels
+    ``.`` of the marginals of a quasimomentum audit.  A series that may be
+    complex is not named ``branch``, ``entropy`` or ``qv``, whose ``_re``
+    and ``_im`` columns would start like those columns.  Subsystem labels
     (through entropy and marginal columns), branch labels and these names
     all head columns of the run CSV, so none may hold its separators
     ``,``, ``\\n`` or ``\\r``.  A subsystem label may not hold the ``+``
@@ -578,6 +587,10 @@ def _check_series_names(chk: _Check, space: dict, observables: list,
                 chk.err(path, f"{name!r} is reserved: names may "
                         "not be 't' or 'norm_pre', start with 'branch_', 'entropy_' "
                         "or 'qv_', end with '_re' or '_im', or contain '.'")
+            elif key == "name" and e["kind"] in _COMPLEX_KINDS and name in (
+                    "branch", "entropy", "qv"):
+                chk.err(path, f"{name!r} names a complex series, whose columns "
+                        f"{name}_re and {name}_im would read as {name}_ columns")
             elif section == "audits" and name in observed:
                 chk.err(path, f"{name!r} is also the name of an observable")
 
@@ -594,14 +607,18 @@ def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
     # The space is read first: every other section refers to its labels.
     space = chk.object(raw["space"], "space", _SPACE) if isinstance(
         raw.get("space"), Mapping) else {}
-    subsystems = []
-    for i, s in enumerate(space.get("subsystems") or []):
+    declared, subsystems = space.get("subsystems") or [], []
+    for i, s in enumerate(declared):
         if s is None:
+            entry = raw["space"]["subsystems"][i]
+            if isinstance(entry, Mapping) and isinstance(entry.get("label"), str):
+                chk.refused.add(entry["label"])
             continue
         try:
             SubsystemSpec(**s)
         except ValueError as exc:
             chk.err(f"space.subsystems[{i}]", str(exc))
+            chk.refused.add(s["label"])
             continue
         if s["label"] in chk.subsystems:
             chk.err(f"space.subsystems[{i}]", f"duplicate subsystem label {s['label']!r}")
@@ -653,7 +670,7 @@ def from_dict(raw: Mapping[str, Any]) -> ScenarioConfig:
     _check_branches(chk, top.get("branches") or [])
 
     for i, side in enumerate(top.get("bipartitions") or []):
-        if side is not None and None not in side and len(set(side)) == len(subsystems):
+        if side is not None and None not in side and len(set(side)) == len(declared):
             chk.err(f"bipartitions[{i}]",
                     "bipartition side must be a strict subset of subsystems")
 

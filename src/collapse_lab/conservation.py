@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import ndtr, ndtri
 
 from .errors import AuditRefusal, DimensionError, OperatorError
 from .hilbert import CompositeSpace, StateVector
@@ -395,6 +394,8 @@ def family_threshold(n_sigma: float, m: int) -> float:
     Testing m checkpoints at z_m each keeps the chance that any of them
     trips on a correct run at most that of one n_sigma test.
     """
+    from scipy.special import ndtr, ndtri  # loads at the first audit only
+
     return float(-ndtri(ndtr(-n_sigma) / m))
 
 

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError
 
@@ -129,8 +128,16 @@ def postselected_momentum_quadrature(
     independent of the closed-form algebra.  Denominator: window
     probability.  Adaptive quadrature at 1e-10 relative tolerance.
     """
+    # scipy.integrate (with scipy.optimize, linalg and fft behind it) loads
+    # here, so only the commands that run this oracle pay for it
+    from scipy.integrate import quad
+
     lo, hi = sel.x_f - sel.epsilon, sel.x_f + sel.epsilon
     h = 1e-4 * packet_width(params)
+
+    def integral(f) -> float:
+        value, _ = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
+        return value
 
     def num_integrand(x: float) -> complex:
         return (
@@ -142,19 +149,14 @@ def postselected_momentum_quadrature(
     def den_integrand(x: float) -> float:
         return abs(evolved_packet(params, x)) ** 2
 
-    num = _complex_quad(num_integrand, lo, hi)
-    den, _ = quad(den_integrand, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
+    num = complex(integral(lambda x: num_integrand(x).real),
+                  integral(lambda x: num_integrand(x).imag))
+    if not np.isfinite(num):
+        raise NumericalError("quadrature returned a non-finite value")
+    den = integral(den_integrand)
     if den <= 0 or not np.isfinite(den):
         raise NumericalError("window probability quadrature failed")
     return num / den
-
-
-def _complex_quad(f, lo: float, hi: float) -> complex:
-    re, _ = quad(lambda x: f(x).real, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
-    im, _ = quad(lambda x: f(x).imag, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise NumericalError("quadrature returned a non-finite value")
-    return complex(re, im)
 
 
 def polar_decomposition(value: complex) -> tuple[float, float]:

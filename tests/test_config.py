@@ -167,6 +167,18 @@ def test_reserved_series_name_refused(section, name):
     ]
 
 
+@pytest.mark.parametrize("name", ["branch", "entropy", "qv"])
+def test_complex_series_named_like_a_column_stem_refused(name):
+    # a complex total_shift named branch is recorded as branch_re and
+    # branch_im, which read back as two branches
+    d = builtin_scenario("two-particle-collision").to_dict()
+    d["observables"].append({"name": name, "kind": "total_shift"})
+    with pytest.raises(ConfigError) as err:
+        from_dict(d)
+    assert [e.split(": ")[0] for e in err.value.errors] == [
+        f"observables[{len(d['observables']) - 1}].name"]
+
+
 def test_audit_named_like_an_observable_refused():
     # an energy audit named x1 used to audit the position series x1
     d = builtin_scenario("two-particle-collision").to_dict()
@@ -384,9 +396,64 @@ def _value_paths(node, prefix=()):
         yield from _value_paths(child, prefix + (key,))
 
 
+def _names_a_subsystem(path) -> bool:
+    """Whether the value at path is a subsystem label: a subsystem's own
+    ``label``, a bipartition item, or a ``subsystem``, ``subsystem_i``,
+    ``subsystem_j`` or ``*_subsystem`` field."""
+    key = path[-1]
+    return ((path[0] == "bipartitions" and len(path) == 3)
+            or (path[:2] == ("space", "subsystems") and key == "label")
+            or key in ("subsystem", "subsystem_i", "subsystem_j")
+            or (isinstance(key, str) and key.endswith("_subsystem")))
+
+
+def _label_swaps(canonical):
+    """Each label-valued field, and each key of the product factors, set in
+    turn to each other label the config declares."""
+    labels = [s["label"] for s in canonical["space"]["subsystems"]]
+    for path in filter(_names_a_subsystem, _value_paths(canonical)):
+        d = canonical
+        for key in path:
+            d = d[key]
+        for other in labels:
+            if other != d:
+                swapped = copy.deepcopy(canonical)
+                set_at(swapped, path, other)
+                yield path, other, swapped
+    for key in canonical["initial_state"].get("factors", {}):
+        for other in labels:
+            if other != key:
+                swapped = copy.deepcopy(canonical)
+                factors = swapped["initial_state"]["factors"]
+                swapped["initial_state"]["factors"] = {
+                    (other if k == key else k): v for k, v in factors.items()}
+                yield ("initial_state", "factors", key), other, swapped
+
+
+def _refused_or_realized(d) -> str | None:
+    """None if d gives a ConfigError, or a config that realizes or is refused
+    with a CollapseLabError; otherwise where and what else was raised."""
+    try:
+        cfg = from_dict(d)
+    except ConfigError:
+        return None
+    except Exception as exc:
+        return f"from_dict: {exc!r}"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            realize(cfg)
+    except CollapseLabError:
+        pass
+    except Exception as exc:
+        return f"realize: {exc!r}"
+    return None
+
+
 def test_every_single_value_mutation_is_refused_or_realized():
-    """Replacing any one value of a built-in by any of MUTATION_VALUES must
-    give a ConfigError, or a config that realizes or is refused with a
+    """Replacing any one value of a built-in by any of MUTATION_VALUES, or
+    any one subsystem label by another declared label, must give a
+    ConfigError, or a config that realizes or is refused with a
     CollapseLabError: never another exception."""
     escapes = []
     n = 0
@@ -397,22 +464,16 @@ def test_every_single_value_mutation_is_refused_or_realized():
                 n += 1
                 d = copy.deepcopy(canonical)
                 set_at(d, path, copy.deepcopy(value))
-                try:
-                    cfg = from_dict(d)
-                except ConfigError:
-                    continue
-                except Exception as exc:
-                    escapes.append((name, path, value, "from_dict", repr(exc)))
-                    continue
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        realize(cfg)
-                except CollapseLabError:
-                    pass
-                except Exception as exc:
-                    escapes.append((name, path, value, "realize", repr(exc)))
+                if (escape := _refused_or_realized(d)) is not None:
+                    escapes.append((name, path, value, escape))
     assert n == 3984
+    swaps = 0
+    for name in builtin_names():
+        for path, other, d in _label_swaps(builtin_scenario(name).to_dict()):
+            swaps += 1
+            if (escape := _refused_or_realized(d)) is not None:
+                escapes.append((name, path, other, escape))
+    assert swaps == 42
     assert escapes == []
 
 
@@ -436,9 +497,19 @@ _SPIN_Z = {"name": "sz", "kind": "spin_z", "subsystem": "spin"}
 _SPIN_COUPLING = {"type": "spin_coupling", "spin_subsystem": "spin",
                   "pointer_subsystem": "pointer", "strength": 1.0}
 
-# scenario, the one path refused, edit: each a config whose operators or
-# state realize could not build
+# scenario, the one path refused, edit: each a config whose space, operators
+# or state realize could not build.  A refused subsystem fails every field
+# that names it without a second message.
 REALIZE_REFUSALS = {
+    "one-site lattice named by a term, observables and factors": (
+        "free-packet", "space.subsystems[0]",
+        lambda d: d["space"]["subsystems"][0].update(dim=1)),
+    "one-site pointer beside a bipartition of the spin": (
+        "qnd-two-level", "space.subsystems[1]",
+        lambda d: d["space"]["subsystems"][1].update(dim=1)),
+    "subsystem of an unknown kind named by terms and an observable": (
+        "two-particle-collision", "space.subsystems[1].kind",
+        lambda d: d["space"]["subsystems"][1].update(kind="bogus")),
     "momentum on a hard-wall lattice": (
         "stern-gerlach", "observables[2].subsystem",
         lambda d: d["observables"].append(

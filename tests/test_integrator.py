@@ -757,8 +757,11 @@ def _is_series_name(name: str) -> bool:
 
 _names = st.text(min_size=1, max_size=8)
 _series_names = _names.filter(_is_series_name)
-# a quasimomentum audit adds one complex marginal '<audit>.<subsystem label>'
-_observables = (st.tuples(_series_names, st.booleans())
+# a complex series may not be named like the stem of a column prefix, and a
+# quasimomentum audit adds one complex marginal '<audit>.<subsystem label>'
+_observables = (st.tuples(_series_names, st.just(False))
+                | st.tuples(_series_names.filter(
+                    lambda n: n not in ("branch", "entropy", "qv")), st.just(True))
                 | st.tuples(st.tuples(_series_names, _names).map(".".join), st.just(True)))
 
 

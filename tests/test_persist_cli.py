@@ -983,3 +983,21 @@ def test_module_entry_point_prints_the_version():
     done = subprocess.run([sys.executable, "-m", "collapse_lab", "--version"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0 and done.stdout == f"{cl.__version__}\n"
+
+
+def test_import_loads_no_scipy_module_beyond_sparse():
+    """``import collapse_lab`` adds no ``scipy.*`` module to those that
+    ``import numpy, scipy.sparse`` loads: ``scipy.integrate`` and
+    ``scipy.special`` load in the functions that call them.  A fresh
+    interpreter, since this test session has imported scipy.integrate."""
+    code = ("import sys\n"
+            "import numpy, scipy.sparse\n"
+            "before = set(sys.modules)\n"
+            "import collapse_lab\n"
+            "print(sorted(m for m in set(sys.modules) - before"
+            " if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
