@@ -77,12 +77,16 @@ def _deep_copy(obj):
 def load_config(path) -> ScenarioConfig:
     """Load and validate a JSON config file.
 
-    Parse errors carry line/column; validation reports every problem.
+    Parse errors carry line/column (the byte offset if the file is not
+    UTF-8); validation reports every problem.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            [f"parse error at byte {exc.start}: the file is not UTF-8 ({exc.reason})"]
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -546,8 +550,9 @@ def _check_unique_names(chk: _Check, entries: list, section: str) -> None:
             seen.add(e["name"])
 
 
-# kinds whose series may be complex, recorded as <name>_re and <name>_im
-_COMPLEX_KINDS = ("momentum", "total_shift", "total_quasimomentum")
+# kinds whose operator is not Hermitian, so that their series is complex,
+# recorded as <name>_re and <name>_im
+_COMPLEX_KINDS = ("total_shift", "total_quasimomentum")
 
 
 def _check_series_names(chk: _Check, space: dict, observables: list,

@@ -265,8 +265,9 @@ def _column_roles(names: tuple[str, ...]) -> _ColumnRoles:
 class TrajectoryRecord:
     """One trajectory: its float64 (n_columns, n_records) ``table``, whose
     rows are the series named by ``columns`` (:func:`_column_names`), its
-    seed and collapse, and its states when they are at hand.  The plan is
-    the scenario's, with this seed: a record holds no copy of it.
+    seed, collapse and final state, and no other state: a quantity wanted
+    along the path is recorded as an observable.  The plan is the
+    scenario's, with this seed: a record holds no copy of it.
 
     The table is the persisted layout: a CSV holds its transpose and a row
     of the ensemble array its bytes.  ``times``, ``norms_pre_renorm`` and
@@ -288,7 +289,6 @@ class TrajectoryRecord:
     collapsed_branch: str | None = None
     collapse_step: int | None = None
     norm_drift_mean: float = 0.0
-    states: np.ndarray | None = None  # (n_records, dim) when requested
     times: np.ndarray = field(init=False)
     norms_pre_renorm: np.ndarray = field(init=False)
     observables: dict[str, np.ndarray] = field(init=False)
@@ -355,21 +355,17 @@ def _step(psi: np.ndarray, h: AssembledOperator | None,
     return new, nrm, beta, hpsi
 
 
-def run_trajectory(
-    scenario: RealizedScenario,
-    seed: int | None = None,
-    *,
-    record_states: bool = False,
-) -> TrajectoryRecord:
+def run_trajectory(scenario: RealizedScenario, seed: int | None = None) -> TrajectoryRecord:
     """Integrate one trajectory; deterministic given the seed.
 
     ``scenario`` is what :func:`~collapse_lab.scenarios.realize` builds
-    from a config.  ``seed`` overrides the plan seed when given;
-    ``record_states`` additionally stores the state at each recorded time.
+    from a config.  ``seed`` overrides the plan seed when given.  The
+    record holds the scenario's series at the recorded times and the final
+    state; no state in between is kept.
     """
     seed = scenario.plan.seed if seed is None else seed
     check_stability(scenario.plan, scenario.collapse_op)
-    out = _chunk_block(scenario, 1, record_states)
+    out = _chunk_block(scenario, 1)
     _run_chunk_batched(scenario, [seed], out)
     return _records(scenario, [seed], out)[0]
 
@@ -378,18 +374,17 @@ def run_trajectory(
 class EnsembleStats:
     """Per-time-point statistics over independent trajectories.
 
-    Column reductions of each chunk's (b, n_records) blocks: means,
-    two-pass variances over n - 1 (merged across chunks) and standard
-    errors sqrt(var / n).
-    Outcome counts tally the collapse flag ('uncollapsed' for trajectories
-    that never crossed the threshold).  ``mean_density`` is the averaged
-    projector at each recorded time when density recording was requested.
+    Column reductions of each chunk's (b, n_records) blocks: means and
+    standard errors sqrt(var / n), from two-pass variances over n - 1
+    merged across chunks.  Outcome counts tally the collapse flag
+    ('uncollapsed' for trajectories that never crossed the threshold).
+    The fields are exactly what ``ensemble.json`` stores (``times`` as
+    ``t``); an average of any other quantity is the mean of an observable.
     """
 
     times: np.ndarray
     n_traj: int
     observable_mean: dict[str, np.ndarray]
-    observable_var: dict[str, np.ndarray]
     observable_stderr: dict[str, np.ndarray]
     branch_weight_mean: dict[str, np.ndarray]
     branch_weight_stderr: dict[str, np.ndarray]
@@ -397,7 +392,6 @@ class EnsembleStats:
     outcome_counts: dict[str, int]
     norm_drift_mean: float
     norm_drift_stderr: float
-    mean_density: np.ndarray | None = None
     base_seed: int = 0
 
 
@@ -411,7 +405,6 @@ def run_ensemble(
     n_traj: int,
     base_seed: int = 0,
     *,
-    record_density: bool = False,
     keep_records: bool = False,
 ) -> tuple[EnsembleStats, list[TrajectoryRecord]]:
     """Run ``n_traj`` trajectories of ``scenario``, which is what
@@ -427,6 +420,8 @@ def run_ensemble(
     folded in chunk order, so results do not depend on the number of
     processes; several chunks differ from one only by the reassociation of
     the sums and the merge of the chunks' variances (:func:`_fold`).
+    Every statistic is a reduction of the tables' columns: the average of
+    any other quantity is the mean of an observable recorded for it.
     Returns (stats, records); ``records`` is empty, and no record is built,
     unless ``keep_records``: then each record's table is a view of the
     block's row.  Without it the block holds only the chunks in flight.
@@ -434,22 +429,15 @@ def run_ensemble(
     """
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
-    d = scenario.space.total_dim
-    if record_density and d > 64:
-        raise DimensionError(
-            "density recording is limited to total_dim <= 64; average "
-            "projectors of larger systems are not materialized"
-        )
     check_stability(scenario.plan, scenario.collapse_op)
 
     seeds = ensemble_seeds(base_seed, n_traj)
-    sizes = _chunk_sizes(n_traj, d)
+    sizes = _chunk_sizes(n_traj, scenario.space.total_dim)
     starts = list(itertools.accumulate(sizes, initial=0))
     n_proc = _processes(len(sizes))
     # kept records are views of one n_traj-row block; otherwise the chunks
     # of one process share rows, one chunk per process in flight
-    block = _chunk_block(scenario, n_traj if keep_records else n_proc * sizes[0],
-                         record_density)
+    block = _chunk_block(scenario, n_traj if keep_records else n_proc * sizes[0])
 
     def rows(i: int) -> _Chunk:
         lo = starts[i] if keep_records else i % n_proc * sizes[0]
@@ -464,7 +452,6 @@ def run_ensemble(
     labels = [*(br.label for br in scenario.branches), "uncollapsed"]  # [-1]: none
     outcomes: Counter[str] = Counter()
     drift, records = np.empty(n_traj), []
-    density = np.zeros((scenario.plan.n_records, d, d), complex) if record_density else None
     with _ChunkRunner(run, len(sizes), n_proc, reuse=not keep_records) as runner:
         for i, (start, stop) in enumerate(zip(starts, starts[1:])):
             runner.ready(i)
@@ -477,19 +464,16 @@ def run_ensemble(
                 ent_sum[k] += part.sum(axis=0)
             outcomes.update(labels[j] for j in chunk.collapse_branch.tolist())
             drift[start:stop] = chunk.drift_mean
-            if density is not None:
-                density += np.einsum("bti,btj->tij", chunk.states, chunk.states.conj())
             if keep_records:
                 records.extend(_records(scenario, seeds[start:stop], chunk))
             runner.release(i)
 
-    obs_mean, obs_var, obs_se = _moments(obs_sum, obs_m2, n_traj)
-    w_mean, _, w_se = _moments(w_sum, w_m2, n_traj)
+    obs_mean, obs_se = _moments(obs_sum, obs_m2, n_traj)
+    w_mean, w_se = _moments(w_sum, w_m2, n_traj)
     return EnsembleStats(
         times=scenario.plan.record_times,
         n_traj=n_traj,
         observable_mean=obs_mean,
-        observable_var=obs_var,
         observable_stderr=obs_se,
         branch_weight_mean=w_mean,
         branch_weight_stderr=w_se,
@@ -497,7 +481,6 @@ def run_ensemble(
         outcome_counts=dict(sorted(outcomes.items())),
         norm_drift_mean=float(drift.mean()),
         norm_drift_stderr=float(np.std(drift, ddof=1) / np.sqrt(n_traj)),
-        mean_density=None if density is None else density / n_traj,
         base_seed=base_seed,
     ), records
 
@@ -518,12 +501,12 @@ def _fold(sums: dict, m2: dict, blocks: dict[str, np.ndarray], n_done: int) -> N
         sums[k] += total
 
 
-def _moments(sums: dict, m2: dict, n: int) -> tuple[dict, dict, dict]:
-    """Mean, variance (over n - 1) and standard error of each series from
-    its column totals and centered sums of squares over ``n`` trajectories."""
-    var = {k: m / (n - 1) for k, m in m2.items()}
-    return ({k: s / n for k, s in sums.items()}, var,
-            {k: np.sqrt(v / n) for k, v in var.items()})
+def _moments(sums: dict, m2: dict, n: int) -> tuple[dict, dict]:
+    """Mean and standard error, sqrt(var / n) with the variance over n - 1,
+    of each series from its column totals and centered sums of squares over
+    ``n`` trajectories."""
+    return ({k: s / n for k, s in sums.items()},
+            {k: np.sqrt(m / (n - 1) / n) for k, m in m2.items()})
 
 
 # The amplitudes of one chunk.  Batching past about 4k amplitudes buys
@@ -565,9 +548,8 @@ class _Chunk(NamedTuple):
     """The arrays of trajectories integrated together: the ``columns`` of
     their tables and the (b, n_columns, n_records) ``table``, whose row i
     is trajectory i's :class:`TrajectoryRecord` table, and per row the
-    final state, the collapse step and branch index (-1 if none), the mean
-    of (norm - 1) over every step and, if recorded, the (n_records, d)
-    states."""
+    final state, the collapse step and branch index (-1 if none) and the
+    mean of (norm - 1) over every step."""
 
     columns: tuple[str, ...]
     table: np.ndarray
@@ -575,11 +557,10 @@ class _Chunk(NamedTuple):
     collapse_step: np.ndarray
     collapse_branch: np.ndarray
     drift_mean: np.ndarray
-    states: np.ndarray | None
 
     def rows(self, lo: int, hi: int) -> "_Chunk":
         """Rows ``lo:hi`` of every array, as views."""
-        return _Chunk(self.columns, *(None if a is None else a[lo:hi] for a in self[1:]))
+        return _Chunk(self.columns, *(a[lo:hi] for a in self[1:]))
 
 
 def _partitions(sc: RealizedScenario) -> list[Bipartition]:
@@ -588,7 +569,7 @@ def _partitions(sc: RealizedScenario) -> list[Bipartition]:
     return list({part.name(): part for part in sc.bipartitions}.values())
 
 
-def _chunk_block(sc: RealizedScenario, rows: int, record_states: bool) -> _Chunk:
+def _chunk_block(sc: RealizedScenario, rows: int) -> _Chunk:
     """Arrays for ``rows`` trajectories of ``sc``, to be written by
     :func:`_run_chunk_batched`, in one anonymous shared mapping: processes
     forked after it write into the same memory."""
@@ -601,8 +582,6 @@ def _chunk_block(sc: RealizedScenario, rows: int, record_states: bool) -> _Chunk
     n_rec, d = sc.plan.n_records, sc.space.total_dim
     layout = [(np.float64, (rows, len(columns), n_rec)), (np.complex128, (rows, d)),
               (np.int64, (rows,)), (np.int64, (rows,)), (np.float64, (rows,))]
-    if record_states:
-        layout.append((np.complex128, (rows, n_rec, d)))
     offsets = [0]
     for dtype, shape in layout:  # each array starts on a 64-byte line
         size = np.dtype(dtype).itemsize * math.prod(shape)
@@ -610,7 +589,7 @@ def _chunk_block(sc: RealizedScenario, rows: int, record_states: bool) -> _Chunk
     buf = mmap.mmap(-1, offsets[-1])
     arrays = [np.ndarray(shape, dtype, buffer=buf, offset=offset)
               for (dtype, shape), offset in zip(layout, offsets)]
-    return _Chunk(columns, *arrays[:5], arrays[5] if record_states else None)
+    return _Chunk(columns, *arrays)
 
 
 class _ChunkRunner:
@@ -698,7 +677,6 @@ def _records(sc: RealizedScenario, seeds: list[int],
             collapsed_branch=labels[chunk.collapse_branch[i]],
             collapse_step=steps[i],
             norm_drift_mean=float(chunk.drift_mean[i]),
-            states=None if chunk.states is None else chunk.states[i],
         )
         for i, seed in enumerate(seeds)
     ]
@@ -706,8 +684,9 @@ def _records(sc: RealizedScenario, seeds: list[int],
 
 def _run_chunk_batched(sc: RealizedScenario, seeds: list[int], out: _Chunk) -> None:
     """Integrate a block of trajectories in lock-step, writing row i of
-    every array of ``out`` (rows of a :func:`_chunk_block`) for ``seeds[i]``;
-    the states only if ``out`` has them.
+    every array of ``out`` (rows of a :func:`_chunk_block`) for ``seeds[i]``:
+    the table at the recorded times, and the final state and collapse at
+    the end.  No state in between leaves the loop.
 
     Each trajectory consumes its own generator stream, seeded by its seed,
     so a trajectory does not depend on the batch it runs in beyond
@@ -736,7 +715,7 @@ def _run_chunk_batched(sc: RealizedScenario, seeds: list[int], out: _Chunk) -> N
     psi = np.tile(sc.psi0.amplitudes, (b, 1))
 
     parts = _partitions(sc)
-    table, states = out.table, out.states
+    table = out.table
     table[:, 0] = plan.record_times
     qv_accum = np.zeros(b)
 
@@ -762,8 +741,6 @@ def _run_chunk_batched(sc: RealizedScenario, seeds: list[int], out: _Chunk) -> N
         values += [qv_accum] * len(sc.qv_tracks)
         for c, value in enumerate(values, 1):
             table[:, c, idx] = value
-        if states is not None:
-            states[:, idx, :] = psi
 
     def check_collapse(step: int):
         # collapsed rows are not tested again; no copy while none has.  A

@@ -256,7 +256,7 @@ def load_manifest(out_dir) -> RunManifest:
         raise PersistError(f"no manifest at {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistError(f"corrupt manifest at {path}: {exc}") from exc
     return RunManifest.from_dict(raw)
 

@@ -155,16 +155,30 @@ def test_criterion_5_born_rule():
 
 def _ensemble_vs_oracle(space, h, v, psi0, n_traj, base_seed):
     plan = IntegrationPlan(dt=0.002, n_steps=500, seed=0, record_every=50)
+    # the matrix unit |x><y| has the expectation rho_yx, so the ensemble
+    # mean of the d^2 units is the averaged projector, transposed
+    d = space.total_dim
+    units = {}
+    for x in range(d):
+        for y in range(d):
+            unit = np.zeros((d, d), complex)
+            unit[x, y] = 1.0
+            units[x, y] = Observable(f"unit{x}_{y}", cl.AssembledOperator(
+                space, unit, hermitian=x == y))
     sc = make_realized(
         space, h, v, psi0, plan,
-        observables=[Observable("energy", cl.AssembledOperator(space, np.asarray(h)))],
+        observables=[Observable("energy", cl.AssembledOperator(space, np.asarray(h))),
+                     *units.values()],
     )
-    stats, _ = run_ensemble(sc, n_traj, base_seed, record_density=True)
+    stats, _ = run_ensemble(sc, n_traj, base_seed)
+    mean_density = np.empty((plan.n_records, d, d), complex)
+    for (x, y), unit in units.items():
+        mean_density[:, y, x] = stats.observable_mean[unit.name]
     rho0 = np.outer(sc.psi0.amplitudes, sc.psi0.amplitudes.conj())
     oracle = lindblad_oracle(h, v, rho0, plan)  # one state per recorded time
     checkpoints = list(range(1, 11))  # ten non-initial recorded times
     tds = [
-        trace_distance(stats.mean_density[i], oracle[i])
+        trace_distance(mean_density[i], oracle[i])
         for i in checkpoints
     ]
     return stats, oracle, plan, checkpoints, tds

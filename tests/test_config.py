@@ -85,6 +85,24 @@ def test_parse_error_reports_position(tmp_path):
     assert any("line 1" in msg for msg in err.value.errors)
 
 
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # a Latin-1 byte is a parse error at its offset, not a traceback
+    data = serialize(builtin_scenario("qnd-two-level")).encode("utf-8")
+    data = data.replace(b'"qnd-two-level"', b'"qnd-\xe9t\xe9"')
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    at = data.index(b"\xe9")
+    message = f"parse error at byte {at}: the file is not UTF-8 (invalid continuation byte)"
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.errors == [message]
+    for command in (["run"], ["ensemble", "--n-traj", "4"]):
+        code = cli_run([*command, "--config", str(path),
+                        "--out-dir", str(tmp_path / "out"), "--quiet"])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subsystem_in_term():
     d = minimal_qnd_dict()
     d["operators"]["terms"][0]["spin_subsystem"] = "ghost"

@@ -196,8 +196,9 @@ class TestRunEnsemble:
             observables=[Observable("sz", AssembledOperator(qubit_space, SIGMA_Z))],
         )
         stats, _ = run_ensemble(sc, 8, base_seed=0)
-        # identical trajectories; variance is zero up to one-pass cancellation
-        assert np.max(stats.observable_var["sz"]) < 1e-14
+        # identical trajectories: the variance, stderr^2 * n, is zero up to
+        # rounding
+        assert np.max(stats.observable_stderr["sz"] ** 2 * 8) < 1e-14
 
     def test_seed_layout_and_reproducibility(self, qubit_space):
         plan = IntegrationPlan(dt=1e-3, n_steps=200, seed=0, record_every=40)
@@ -493,14 +494,19 @@ def test_qv_energy_matches_recomputation(two_qubit_space):
     h = 0.5 * (h + h.conj().T)
     v = np.diag([0.9, -0.4, 0.3, -1.1]).astype(complex)
     plan = IntegrationPlan(dt=1e-3, n_steps=60, seed=8, record_every=1)
+    # every step is recorded, so each step's <H>, <V> and <HV> are in the
+    # table: c = <H psi|beta> = <HV> - <H><V>, the kernel's QV increment
     sc = make_realized(two_qubit_space, h, v, [0.5, 0.5, 0.5, 0.5], plan,
+                       observables=[Observable("h", as_op(two_qubit_space, h)),
+                                    Observable("v", as_op(two_qubit_space, v)),
+                                    Observable("hv", as_op(two_qubit_space, h @ v,
+                                                           hermitian=False))],
                        qv_tracks=("energy",))
-    rec = run_trajectory(sc, record_states=True)
+    rec = run_trajectory(sc)
+    obs = rec.observables
     qv = [0.0]
-    for psi in rec.states[:-1]:
-        vpsi = v @ psi
-        beta = vpsi - np.vdot(psi, vpsi).real * psi
-        c = np.vdot(h @ psi, beta)
+    for hv, hm, vm in zip(obs["hv"][:-1], obs["h"][:-1], obs["v"][:-1]):
+        c = hv - hm * vm
         qv.append(qv[-1] + 2.0 * abs(c) ** 2 * plan.dt)
     assert qv[-1] > 0.0
     assert np.allclose(rec.qv_series["energy"], qv, rtol=1e-12, atol=0.0)
@@ -565,16 +571,19 @@ def test_recorded_branch_weights_sum_their_indices(seed):
                    for p in parts)
     branches = [Branch(f"b{k}", np.sort(p)) for k, p in enumerate(parts)]
     plan = IntegrationPlan(dt=2e-3, n_steps=300, seed=seed, record_every=20)
+    # each branch's projector, recorded as a diagonal observable: the
+    # expectation sums |psi_i|^2 over the branch's indices
+    projectors = [Observable(f"p{k}", as_op(space, np.diag(np.isin(np.arange(d), p))))
+                  for k, p in enumerate(parts)]
     sc = make_realized(space, random_hermitian(rng, d, 0.3),
                        np.diag(rng.uniform(-2.0, 2.0, d)).astype(complex),
-                       random_state(rng, d), plan, branches=branches)
-    # a block of four rows (states are recorded along with the density)
-    # and a batch of one
-    _, recs = run_ensemble(sc, 4, base_seed=10 * seed, record_density=True,
-                           keep_records=True)
-    for rec in [*recs, run_trajectory(sc, seed=seed, record_states=True)]:
-        for br in branches:
-            expected = np.sum(np.abs(rec.states[:, br.indices]) ** 2, axis=1)
+                       random_state(rng, d), plan, observables=projectors,
+                       branches=branches)
+    # a block of four rows and a batch of one
+    _, recs = run_ensemble(sc, 4, base_seed=10 * seed, keep_records=True)
+    for rec in [*recs, run_trajectory(sc, seed=seed)]:
+        for br, p in zip(branches, projectors):
+            expected = rec.observables[p.name]
             assert np.allclose(rec.branch_weights[br.label], expected,
                                rtol=0.0, atol=1e-12), br.label
 
@@ -592,7 +601,7 @@ def test_first_branch_wins_when_two_cross_the_threshold():
     assert (rec.collapse_step, rec.collapsed_branch) == (0, "b")
 
 
-def reference_stats(recs, record_density: bool) -> dict:
+def reference_stats(recs) -> dict:
     """Every EnsembleStats field from kept records, summed one record at a
     time in seed order from zero, with the two-pass variance."""
     n = len(recs)
@@ -604,18 +613,17 @@ def reference_stats(recs, record_density: bool) -> dict:
         m = total / n
         for v in series:
             m2 += np.abs(v - m) ** 2
-        var = m2 / (n - 1)
-        return m, var, np.sqrt(var / n)
+        return m, np.sqrt(m2 / (n - 1) / n)
 
     ref = {name: {} for name in (
-        "observable_mean", "observable_var", "observable_stderr",
+        "observable_mean", "observable_stderr",
         "branch_weight_mean", "branch_weight_stderr", "entropy_mean")}
     for k in recs[0].observables:
-        (ref["observable_mean"][k], ref["observable_var"][k],
-         ref["observable_stderr"][k]) = moments([r.observables[k] for r in recs])
+        ref["observable_mean"][k], ref["observable_stderr"][k] = moments(
+            [r.observables[k] for r in recs])
     for k in recs[0].branch_weights:
-        m, _, se = moments([r.branch_weights[k] for r in recs])
-        ref["branch_weight_mean"][k], ref["branch_weight_stderr"][k] = m, se
+        ref["branch_weight_mean"][k], ref["branch_weight_stderr"][k] = moments(
+            [r.branch_weights[k] for r in recs])
     for k in recs[0].entropy_series:
         total = np.zeros(len(recs[0].times))
         for r in recs:
@@ -629,13 +637,6 @@ def reference_stats(recs, record_density: bool) -> dict:
     drift = np.asarray([r.norm_drift_mean for r in recs])
     ref["norm_drift_mean"] = float(drift.mean())
     ref["norm_drift_stderr"] = float(np.std(drift, ddof=1) / np.sqrt(n))
-    ref["mean_density"] = None
-    if record_density:
-        n_rec, d = recs[0].states.shape
-        density = np.zeros((n_rec, d, d), dtype=complex)
-        for r in recs:
-            density += np.einsum("ti,tj->tij", r.states, r.states.conj())
-        ref["mean_density"] = density / n
     return ref
 
 
@@ -676,9 +677,8 @@ def test_ensemble_stats_match_seed_order_reference(monkeypatch, name):
     # series of qnd-two-level, whose operators are diagonal; a CSR product
     # changes a batch of one by rounding.
     sc = stats_scenario(name)
-    stats, recs = run_ensemble(sc, 9, base_seed=20, record_density=True,
-                               keep_records=True)
-    ref = reference_stats(recs, record_density=True)
+    stats, recs = run_ensemble(sc, 9, base_seed=20, keep_records=True)
+    ref = reference_stats(recs)
     assert len(ref["outcome_counts"]) >= 2
     assert all(ref[k] for k in ref if isinstance(ref[k], dict))
     assert np.array_equal(stats.times, recs[0].times)
@@ -694,15 +694,14 @@ def test_ensemble_stats_match_seed_order_reference(monkeypatch, name):
             assert type(got) is type(expected) and np.array_equal(got, expected), key
 
     monkeypatch.setattr(integrator, "BATCH_AMPLITUDES", 2 * sc.space.total_dim)
-    chunked, chunked_recs = run_ensemble(sc, 9, base_seed=20, record_density=True,
-                                         keep_records=True)
+    chunked, chunked_recs = run_ensemble(sc, 9, base_seed=20, keep_records=True)
     if name == "random":
         for one, rec in zip(chunked_recs, recs):
             assert_same_trajectory(one, rec)
     else:
         assert [trajectory_csv_text(r) for r in chunked_recs] == [
             trajectory_csv_text(r) for r in recs]
-    ref = reference_stats(chunked_recs, record_density=True)
+    ref = reference_stats(chunked_recs)
     assert chunked.outcome_counts == ref.pop("outcome_counts")
     for key, expected in ref.items():
         got = getattr(chunked, key)
@@ -791,7 +790,7 @@ class TestTable:
         sc = realize(builtin_scenario("two-particle-collision"))
         sc.plan = IntegrationPlan(dt=sc.plan.dt, n_steps=20, record_every=10)
         seeds = [4, 5, 6]
-        chunk = integrator._chunk_block(sc, len(seeds), False)
+        chunk = integrator._chunk_block(sc, len(seeds))
         integrator._run_chunk_batched(sc, seeds, chunk)
         records = integrator._records(sc, seeds, chunk)
         assert chunk.table.shape == (3, len(chunk.columns), 3)
@@ -846,8 +845,7 @@ def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def forked_and_serial(monkeypatch, sc, n: int, base_seed: int,
-                      record_density: bool = False):
+def forked_and_serial(monkeypatch, sc, n: int, base_seed: int):
     """Run ``n`` trajectories of ``sc`` on two CPUs, then on one, each kept
     and unkept.  Asserts that ``_processes`` chose 2, 2, 1, 1, that no
     worker is left, that every run gives the same statistics bit for bit
@@ -864,8 +862,7 @@ def forked_and_serial(monkeypatch, sc, n: int, base_seed: int,
     results = {}
     for cpus in (2, 1):
         use_cpus(monkeypatch, cpus)
-        results[cpus] = [run_ensemble(sc, n, base_seed=base_seed,
-                                      record_density=record_density, keep_records=keep)
+        results[cpus] = [run_ensemble(sc, n, base_seed=base_seed, keep_records=keep)
                          for keep in (True, False)]
     assert processes == [2, 2, 1, 1]
     assert multiprocessing.active_children() == []
@@ -879,7 +876,6 @@ def forked_and_serial(monkeypatch, sc, n: int, base_seed: int,
     for one, rec in zip(serial_recs, forked_recs):
         assert rec.table.base is block
         assert np.array_equal(one.table, rec.table)
-        assert np.array_equal(one.states, rec.states)
         assert np.array_equal(one.final_state.amplitudes, rec.final_state.amplitudes)
         assert (one.collapse_step, one.collapsed_branch, one.norm_drift_mean) == (
             rec.collapse_step, rec.collapsed_branch, rec.norm_drift_mean)
@@ -944,8 +940,7 @@ class TestForkedChunks:
 
     def test_workers_give_what_one_cpu_gives(self, monkeypatch):
         # about a quarter of the rows collapse
-        serial = forked_and_serial(monkeypatch, short_qnd(600), 2100, base_seed=40,
-                                   record_density=True)
+        serial = forked_and_serial(monkeypatch, short_qnd(600), 2100, base_seed=40)
         assert len(serial.outcome_counts) == 3
 
     def test_workers_give_what_one_cpu_gives_with_a_csr_hamiltonian(self, monkeypatch):
@@ -966,9 +961,9 @@ class TestForkedChunks:
         rows = []
         block = integrator._chunk_block
 
-        def spy(scenario, n, record_states):
+        def spy(scenario, n):
             rows.append(n)
-            return block(scenario, n, record_states)
+            return block(scenario, n)
 
         monkeypatch.setattr(integrator, "_chunk_block", spy)
         results = []

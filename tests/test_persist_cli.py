@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +103,26 @@ class TestPersist:
         rec = run_trajectory(realize(cfg), seed=9)
         with pytest.raises(PersistError):
             persist_run([rec], build_manifest(cfg, [9], "trajectory"), out)
+
+    def test_manifest_that_is_not_utf8_is_corrupt(self, tmp_path, capsys):
+        # a byte that is not UTF-8 makes the manifest corrupt: audit and a
+        # rerun into the directory exit 2 with one error line
+        cfg_path = tmp_path / "qnd.json"
+        cfg_path.write_text(cl.serialize(small_qnd_config()))
+        out = tmp_path / "run"
+        run = ["run", "--config", str(cfg_path), "--seed", "9", "--out-dir", str(out),
+               "--quiet"]
+        assert cli_run(run) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes().replace(b'"kind"', b'"k\xffnd"', 1))
+        with pytest.raises(PersistError, match="^corrupt manifest at .*utf-8"):
+            load_manifest(out)
+        capsys.readouterr()
+        for command in (["audit", "--run-dir", str(out), "--quiet"], run):
+            assert cli_run(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt manifest at ") and err.count("\n") == 1
+        assert not (out / "audit.json").exists()
 
     def test_manifest_round_trip(self, tmp_path):
         cfg = small_qnd_config()
@@ -269,6 +289,25 @@ class TestCli:
             assert "error:" in err and "'t' is reserved" in err
             assert "Traceback" not in err
         assert not (tmp_path / "t").exists()
+
+    def test_momentum_observable_named_branch_runs(self, tmp_path):
+        # a momentum series is real: one column named branch, which reads
+        # back as an observable, not as a branch weight
+        d = builtin_scenario("free-packet").to_dict()
+        d["plan"].update({"n_steps": 20, "record_every": 10})
+        d["observables"].append({"name": "branch", "kind": "momentum",
+                                 "subsystem": "particle"})
+        cfg = from_dict(d)
+        path = tmp_path / "p.json"
+        path.write_text(cl.serialize(cfg))
+        out = tmp_path / "run"
+        assert cli_run(["run", "--config", str(path), "--seed", "3",
+                        "--out-dir", str(out), "--quiet"]) == 0
+        meta = load_manifest(out).trajectories[0]
+        stored = load_trajectory_csv(out / meta["file"], meta)
+        assert "branch" in stored.columns and not stored.branch_weights
+        rec = run_trajectory(realize(cfg), seed=3)
+        assert np.array_equal(stored.observables["branch"], rec.observables["branch"])
 
     def test_artifacts_of_each_command(self, tmp_path, capsys):
         # every fact of a run is stored once: its table in the CSV or the
@@ -474,6 +513,16 @@ def small_ensemble(tmp_path):
     persist_run(recs, build_manifest(cfg, [r.seed for r in recs], "ensemble"), out,
                 stats=stats)
     return cfg, recs, out
+
+
+def test_ensemble_stats_fields_are_the_ensemble_json_keys(tmp_path):
+    # every statistic an ensemble reduces is stored, and only those: a
+    # field that no artifact holds would be read by tests alone
+    _, _, out = small_ensemble(tmp_path)
+    stored = json.loads((out / "ensemble.json").read_text())
+    fields = {"t" if f.name == "times" else f.name
+              for f in dataclass_fields(cl.EnsembleStats)}
+    assert fields == stored.keys() - {"schema_version", "plan"}
 
 
 def _series(rec) -> dict:

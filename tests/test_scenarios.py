@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import collapse_lab as cl
-from collapse_lab.config import from_dict
+from collapse_lab.config import _COMPLEX_KINDS, from_dict
 from collapse_lab.errors import ConfigError
 from collapse_lab.integrator import run_trajectory
 from collapse_lab.operators import diagonal_operator, momentum_operator
@@ -261,3 +261,13 @@ def test_every_series_kind_gets_its_direct_operator(every_series, name):
     assert series["sz"].op is audits["sz_audit"]
     assert series["shift"].op is audits["tshift"]
     assert series["x"].op is series["w"].op
+
+
+def test_complex_kinds_are_the_kinds_of_complex_series(every_series):
+    # the config refuses a complex series named like a column stem; a
+    # kind is complex exactly when its realized series is
+    sc = every_series
+    kinds = {s["name"]: s["kind"] for s in (*sc.config.observables, *sc.config.audits)}
+    series = {o.name: o for o in sc.observables}
+    for name in _DIRECT_SERIES_OPERATORS:
+        assert series[name].is_complex == (kinds[name] in _COMPLEX_KINDS), name
